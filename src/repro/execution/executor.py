@@ -13,35 +13,43 @@ Sub-flows run by passing ``targets``: only the invocations in the targets'
 supplier subtrees execute (*"a subflow may be run at any stage as long as
 its dependencies are satisfied independently of the remainder of the
 flow"*).
+
+Every executor shares one execution kernel (:class:`_ExecutionKernel`):
+one run envelope around ``execute()`` and one prepare -> call -> record
+path per invocation.  The executors differ only in where a call runs —
+inline here, on simulated machines in the parallel and scheduled
+executors, in worker processes in the process pool.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph, TaskInvocation
-from ..errors import ExecutionError
+from ..errors import ExecutionError, ToolQuarantinedError
 from ..history.database import HistoryDatabase
 from ..history.instance import DerivationRecord
 from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
                    COMPOSE_TOOL, COMPOSITION_RUN, EXECUTION_FAILED,
                    FLOW_FINISHED, FLOW_STARTED, NO_OP_BUS, NO_OP_TRACER,
-                   NODE_READY, NULL_SPAN, RUN_SPAN, SEQUENTIAL_EXECUTOR,
-                   TASK_SPAN, TOOL_FINISHED, TOOL_INVOKED,
-                   TOOL_QUARANTINED, TOOL_RETRIED, TOOL_SPAN,
-                   TOOL_TIMED_OUT, EventBus, RunLedger, Tracer)
+                   NODE_READY, RUN_SPAN, SEQUENTIAL_EXECUTOR, TASK_SPAN,
+                   TOOL_FINISHED, TOOL_INVOKED, TOOL_QUARANTINED,
+                   TOOL_RETRIED, TOOL_SPAN, TOOL_TIMED_OUT, EventBus,
+                   RunLedger, Tracer)
 from .cache import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                     DerivationCache, normalize_policy)
-from .encapsulation import EncapsulationRegistry, ToolContext
+from .encapsulation import (EncapsulationRegistry, ToolContext,
+                            ToolEncapsulation)
 from .faults import FaultPlan
-from .resilience import (UPSTREAM, CallStats, InvocationFailure,
-                         ResiliencePolicy, annotate_error, failure_entry)
+from .resilience import (QUARANTINED, UPSTREAM, CallStats,
+                         InvocationFailure, ResiliencePolicy,
+                         annotate_error, failure_entry)
 
 
 @dataclass
@@ -188,12 +196,12 @@ class ExecutionReport:
         return out
 
     def merge(self, other: "ExecutionReport") -> None:
-        """Fold another report (e.g. one parallel lane) into this one.
+        """Fold another report (e.g. of a concurrent run) into this one.
 
-        Lanes overlap in time, so wall-clock aggregates by ``max`` —
-        summing would silently report serial time and erase the very
-        speedup the parallel executors exist to deliver.  (Serial time
-        needs no special handling: it derives from the merged results.)
+        Concurrent runs overlap in time, so wall-clock aggregates by
+        ``max`` — summing would silently report serial time and erase
+        the speedup concurrency delivers.  (Serial time needs no
+        special handling: it derives from the merged results.)
         """
         self.results.extend(other.results)
         self.skipped.extend(other.skipped)
@@ -204,28 +212,132 @@ class ExecutionReport:
         self.wall_time = max(self.wall_time, other.wall_time)
 
 
-class FlowExecutor:
-    """Executes dynamically defined flows against a history database."""
+@dataclass
+class _Run:
+    """One ``execute()`` call's shared state, seen by every lane."""
+
+    graph: TaskGraph
+    targets: Sequence[str] | None
+    needed: set[str]
+    force: bool
+    report: ExecutionReport
+    started: float = field(default_factory=time.perf_counter)
+    #: The run span's context; lane threads adopt it explicitly.
+    context: Any = None
+    #: What the executor planned: branches, or the invocation graph.
+    plan: Any = None
+    #: Node ids whose producing invocation failed under degradation.
+    failed: set[str] = field(default_factory=set)
+    #: Executor-specific totals for the run span and ``flow_finished``.
+    summary: dict[str, Any] = field(default_factory=dict)
+    #: Per-worker counters for the ledger (process pool only).
+    workers: dict[str, Any] | None = None
+
+
+@dataclass
+class _Call:
+    """One cold tool or composition call of an invocation."""
+
+    #: The resolved encapsulation and its context; None for a
+    #: composition, whose callable lives on the task.
+    enc: ToolEncapsulation | None
+    ctx: ToolContext | None
+    #: One input combination: role -> instance id (or list of ids for
+    #: batch encapsulations).
+    combo: dict[str, Any]
+    key: str | None
+    inputs: dict[str, Any]
+    value: Any = None
+    #: Tool time of the call, retries included.
+    elapsed: float = 0.0
+    stats: CallStats = field(default_factory=lambda: CallStats(attempts=0))
+    error: BaseException | None = None
+
+    @property
+    def tool_id(self) -> str | None:
+        return self.ctx.tool_instance_id if self.ctx is not None else None
+
+
+@dataclass
+class _Task:
+    """One invocation between the prepare and record steps."""
+
+    invocation: TaskInvocation
+    machine: str
+    #: Tool type as events and the policy see it (COMPOSE_TOOL for
+    #: compositions).
+    tool_type: str
+    output_nodes: list[Any]
+    role_ids: dict[str, tuple[str, ...]]
+    queue_wait: float = 0.0
+    wave: int | None = None
+    compose: Callable[[dict[str, Any]], Any] | None = None
+    tool_ids: tuple[str, ...] = ()
+    encapsulation_name: str = ""
+    invocation_id: str | None = None
+    started: float = field(default_factory=time.perf_counter)
+    runs: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    hits: int = 0
+    saved: float = 0.0
+    bytes_saved: int = 0
+    created: list[str] = field(default_factory=list)
+    reused: list[str] = field(default_factory=list)
+    created_by_node: dict[str, list[str]] = field(init=False)
+    reused_by_node: dict[str, list[str]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.created_by_node = {n.node_id: [] for n in self.output_nodes}
+        self.reused_by_node = {n.node_id: [] for n in self.output_nodes}
+
+    @property
+    def node(self) -> str:
+        return ",".join(self.invocation.outputs)
+
+    @property
+    def output_types(self) -> tuple[str, ...]:
+        return tuple(n.entity_type for n in self.output_nodes)
+
+    @property
+    def name(self) -> str:
+        """The tool type, or the composed entity type."""
+        return (self.output_types[0] if self.compose is not None
+                else self.tool_type)
+
+
+class _ExecutionKernel:
+    """What every executor shares: the wiring, the run envelope and
+    the one path an invocation takes.
+
+    That path has three steps.  *Prepare* (:meth:`_prepare`,
+    :meth:`_calls`) resolves inputs, announces the invocation, checks
+    the quarantine and the cache and loads the inputs of each cold
+    call.  *Call* runs the tool wherever the dispatcher runs calls:
+    inline through :meth:`_call_tool`, or in a worker process.
+    *Record* (:meth:`_record`, :meth:`_finish`) writes history and
+    cache, and reports.  Executors differ only in how they plan a run
+    (``_plan``) and dispatch its invocations (``_dispatch_run``).
+    """
+
+    #: ``executor`` label of this executor's ledger records.
+    _kind = SEQUENTIAL_EXECUTOR
+    #: Machine named on run-level events; lanes name their own.
+    machine = ""
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 machine: str = "local",
-                 lock: threading.Lock | None = None,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_READWRITE,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
+                 registry: EncapsulationRegistry, *, user: str,
+                 bus: EventBus | None, cache: DerivationCache | None,
+                 cache_policy: str, tracer: Tracer | None,
+                 ledger: RunLedger | None,
+                 resilience: ResiliencePolicy | None,
+                 faults: FaultPlan | None, profiler,
+                 lock: threading.Lock | None = None) -> None:
         self.db = db
         self.registry = registry
         self.user = user
-        self.machine = machine
-        # The lock serializes history-database access when several
-        # executors share one database across threads (Fig. 6 parallel
-        # branches); tool code runs outside it.
+        # The lock serializes history-database access (and report
+        # updates) across lanes; tool code runs outside it.
         self._lock = lock if lock is not None else threading.Lock()
         # Without sinks the shared no-op bus makes every emit an early
         # return, so uninstrumented execution stays on the fast path.
@@ -241,16 +353,13 @@ class FlowExecutor:
             cache_policy if cache is not None else CACHE_OFF)
         self._force = False
         # Longitudinal observability: with a ledger attached, every
-        # execute() call appends one RunRecord.  Coordinators keep the
-        # ledger for themselves (their worker executors get none), so
-        # one coordinated run is one record, never one per lane.
+        # execute() call appends exactly one RunRecord.
         self.ledger = ledger
         # Resilience: with a policy attached, every encapsulation and
         # composition call runs under its retry/timeout/quarantine
-        # machinery.  Coordinators share ONE policy object with their
-        # worker executors so breaker state is global to the run.
-        # Without a policy, execution behaves exactly as before: the
-        # first tool exception aborts the flow.
+        # machinery, and breaker state is global to the run whichever
+        # lane runs a call.  Without a policy the first tool exception
+        # aborts the flow.
         self.resilience = resilience
         # Fault injection: a FaultPlan scripts failures at the same
         # boundary the policy guards, so chaos drills exercise the real
@@ -260,24 +369,21 @@ class FlowExecutor:
         # the sweep thread can attribute stacks (and busy time) to the
         # tool type, whatever thread ends up executing the call.
         self.profiler = profiler
-        # Coordinators (parallel/scheduled executors) open the run span
-        # themselves and clear this on their worker-facing executors so
-        # tasks attach to the coordinator's trace, not a second root.
-        self._trace_run_span = True
+
+    @property
+    def _pool_size(self) -> int:
+        return 1
 
     # ------------------------------------------------------------------
-    # public API
+    # the run envelope
     # ------------------------------------------------------------------
-    def execute(self, flow: TaskGraph | DynamicFlow,
-                targets: Sequence[str] | None = None, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
-        """Run a flow (or the sub-flow reaching ``targets``).
+    def _execute(self, flow: TaskGraph | DynamicFlow,
+                 targets: Sequence[str] | None, *, force: bool,
+                 cache: str | None) -> ExecutionReport:
+        """Open, dispatch, close and record one run.
 
-        Already-executed nodes (with ``produced`` results) and bound
-        nodes are reused unless ``force`` re-runs every invocation.
-        ``cache`` overrides the executor's cache policy for this call
-        (``"off"`` / ``"reuse"`` / ``"readwrite"``).
+        ``cache`` overrides the cache policy for this call; ``force``
+        re-runs every needed invocation.
         """
         graph = flow.graph if isinstance(flow, DynamicFlow) else flow
         graph.validate()
@@ -288,182 +394,76 @@ class FlowExecutor:
                     "construct the executor with cache=... (or use "
                     "DesignEnvironment.run)")
             self.cache_policy = normalize_policy(cache)
-        # Root span of the trace.  Coordinators (parallel/scheduled)
-        # open it themselves, so their per-branch executors skip this.
-        span_cm = (
-            self.tracer.span(
-                f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name, "machine": self.machine,
-                            "cache": self.cache_policy,
-                            "targets": sorted(targets or ()),
-                            "force": force})
-            if self._trace_run_span else nullcontext(NULL_SPAN))
-        with span_cm as run_span:
-            try:
-                report = self._execute_graph(graph, targets, force=force)
-            except Exception as error:
-                self._ledger_record(ExecutionReport(graph.name),
-                                    error=error)
-                raise
-            run_span.set(runs=report.runs,
-                         created=len(report.created),
-                         skipped=len(report.skipped),
-                         cache_hits=report.cache_hits)
-        self._ledger_record(report)
-        return report
-
-    def _ledger_record(self, report: ExecutionReport,
-                       error: BaseException | None = None) -> None:
-        """Append this run to the ledger, when one is attached."""
-        if self.ledger is None:
-            return
-        trace_id = ""
-        if self.tracer.enabled and self._trace_run_span:
-            trace_id = self.tracer.last_trace_id or ""
-        self.ledger.record_run(
-            report, executor=SEQUENTIAL_EXECUTOR,
-            cache_policy=self.cache_policy, trace_id=trace_id,
-            error=error,
-            profile=(self.profiler.summary()
-                     if self.profiler is not None else None),
-            pool_size=1)
-
-    def _execute_graph(self, graph: TaskGraph,
-                       targets: Sequence[str] | None, *,
-                       force: bool) -> ExecutionReport:
-        started = time.perf_counter()
+        run = _Run(graph, targets, self._needed_nodes(graph, targets),
+                   force, ExecutionReport(graph.name))
+        details = self._plan(run)
+        report = run.report
         emitting = self.bus.enabled
-        needed = self._needed_nodes(graph, targets)
-        self._check_ready(graph, needed)
+        with self.tracer.span(
+                f"run:{graph.name}", RUN_SPAN,
+                attributes={"flow": graph.name, **details,
+                            "cache": self.cache_policy}) as run_span:
+            run.context = run_span.context
+            try:
+                if emitting:
+                    self.bus.emit(FLOW_STARTED, flow=graph.name,
+                                  machine=self.machine, payload=details)
+                self._check_ready(graph, run.needed)
+                if force:
+                    # drop previous results so re-runs do not fan out
+                    # over them
+                    for node_id in run.needed:
+                        if graph.suppliers(node_id):
+                            graph.node(node_id).produced = ()
+                self._force = force
+                self._dispatch_run(run)
+            except Exception as error:
+                if emitting:
+                    self.bus.emit(EXECUTION_FAILED, flow=graph.name,
+                                  machine=self.machine,
+                                  payload={"error": str(error)})
+                report.wall_time = time.perf_counter() - run.started
+                self._ledger_record(run, run_span, error)
+                raise
+            if self.resilience is not None:
+                report.quarantined = sorted(
+                    set(report.quarantined)
+                    | set(self.resilience.quarantined()))
+            # lanes overlap: the measured elapsed time of this call is
+            # the wall-clock, never a sum over lanes
+            report.wall_time = time.perf_counter() - run.started
+            totals = {"runs": report.runs,
+                      "created": len(report.created),
+                      "skipped": len(report.skipped),
+                      "cache_hits": report.cache_hits,
+                      "queue_wait": round(report.queue_wait_time, 6),
+                      **run.summary}
+            run_span.set(**totals)
         if emitting:
-            self.bus.emit(FLOW_STARTED, flow=graph.name,
-                          machine=self.machine,
-                          payload={"nodes": len(needed),
-                                   "targets": sorted(targets or ()),
-                                   "force": force})
-        if force:
-            # drop previous results so re-runs do not fan out over them
-            for node_id in needed:
-                if graph.suppliers(node_id):
-                    graph.node(node_id).produced = ()
-        self._force = force
-        report = ExecutionReport(graph.name)
-        invocation_of: dict[str, TaskInvocation] = {}
-        for invocation in graph.invocations():
-            for output in invocation.outputs:
-                invocation_of[output] = invocation
-        done: set[int] = set()
-        degrade = (self.resilience is not None
-                   and self.resilience.degrade)
-        failed_nodes: set[str] = set()
-        try:
-            for node_id in graph.topological_order():
-                if node_id not in needed:
-                    continue
-                invocation = invocation_of.get(node_id)
-                if invocation is None:
-                    continue  # leaf (bound) node
-                if id(invocation) in done:
-                    continue
-                done.add(id(invocation))
-                outputs = [graph.node(o) for o in invocation.outputs]
-                if not force and all(o.results() for o in outputs):
-                    report.skipped.extend(invocation.outputs)
-                    continue
-                if degrade and self._record_upstream_failure(
-                        graph, invocation, report, failed_nodes):
-                    continue
-                try:
-                    result, cached = self._run_invocation(graph,
-                                                          invocation)
-                except Exception as error:
-                    if not degrade:
-                        raise
-                    # Graceful degradation: record the loss, skip the
-                    # dependents, keep executing independent work.
-                    report.failures.append(
-                        self._failure_entry(error, invocation.outputs))
-                    failed_nodes.update(invocation.outputs)
-                    if emitting:
-                        self.bus.emit(
-                            EXECUTION_FAILED, flow=graph.name,
-                            node=",".join(invocation.outputs),
-                            machine=self.machine,
-                            payload={"error": str(error),
-                                     "degraded": True})
-                    continue
-                if result is not None:
-                    report.results.append(result)
-                if cached is not None:
-                    report.cached.append(cached)
-        except Exception as error:
-            if emitting:
-                self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                              machine=self.machine,
-                              payload={"error": str(error)})
-            raise
-        if self.resilience is not None:
-            report.quarantined = sorted(
-                set(report.quarantined)
-                | set(self.resilience.quarantined()))
-        report.wall_time = time.perf_counter() - started
-        if emitting:
-            payload: dict[str, Any] = {
-                "created": len(report.created),
-                "runs": report.runs,
-                "skipped": len(report.skipped),
-                "cache_hits": report.cache_hits}
+            payload = {**totals, "serial_time": report.serial_time,
+                       "speedup": round(report.speedup, 3)}
             if report.failures:
                 payload["failures"] = len(report.failures)
             self.bus.emit(FLOW_FINISHED, flow=graph.name,
                           machine=self.machine,
-                          duration=report.wall_time,
-                          payload=payload)
+                          duration=report.wall_time, payload=payload)
+        self._ledger_record(run, run_span)
         return report
 
-    def _record_upstream_failure(self, graph: TaskGraph,
-                                 invocation: TaskInvocation,
-                                 report: ExecutionReport,
-                                 failed_nodes: set[str]) -> bool:
-        """Under degradation, skip invocations whose suppliers failed.
+    def _ledger_record(self, run: _Run, run_span: Any,
+                       error: BaseException | None = None) -> None:
+        """Append this run to the ledger, when one is attached."""
+        if self.ledger is None:
+            return
+        self.ledger.record_run(
+            run.report, executor=self._kind,
+            cache_policy=self.cache_policy,
+            trace_id=getattr(run_span, "trace_id", ""), error=error,
+            workers=run.workers,
+            profile=(self.profiler.summary()
+                     if self.profiler is not None else None),
+            pool_size=self._pool_size)
 
-        Returns True (and records an ``upstream``-classified failure)
-        when any input node is in ``failed_nodes``; the invocation's
-        own outputs join the failed set so the loss propagates down
-        the subtree without ever invoking a tool on missing inputs.
-        """
-        upstream = sorted({supplier_id for _, supplier_id
-                           in invocation.inputs
-                           if supplier_id in failed_nodes})
-        if invocation.tool_node is not None \
-                and invocation.tool_node in failed_nodes:
-            upstream.append(invocation.tool_node)
-        if not upstream:
-            return False
-        tool_type = (graph.node(invocation.tool_node).entity_type
-                     if invocation.tool_node is not None
-                     else COMPOSE_TOOL)
-        report.failures.append(InvocationFailure(
-            outputs=tuple(invocation.outputs),
-            tool_type=tool_type,
-            error="inputs unavailable: upstream invocation(s) failed: "
-                  + ", ".join(upstream),
-            error_class="ExecutionError",
-            classification=UPSTREAM,
-            attempts=0,
-            machine=self.machine))
-        failed_nodes.update(invocation.outputs)
-        return True
-
-    def execute_node(self, flow: TaskGraph | DynamicFlow,
-                     node_id: str, *, force: bool = False
-                     ) -> ExecutionReport:
-        """Run just the sub-flow producing one node."""
-        return self.execute(flow, targets=[node_id], force=force)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
     def _needed_nodes(self, graph: TaskGraph,
                       targets: Sequence[str] | None) -> set[str]:
         if targets is None:
@@ -498,134 +498,148 @@ class FlowExecutor:
     def _cache_writes(self) -> bool:
         return self.cache_policy == CACHE_READWRITE
 
-    def _emit_cache_hit(self, graph: TaskGraph,
-                        invocation: TaskInvocation, tool_type: str,
-                        hit) -> None:
-        self.bus.emit(CACHE_HIT, flow=graph.name,
-                      node=",".join(invocation.outputs),
-                      tool_type=tool_type, machine=self.machine,
-                      payload={"instances": list(hit.instance_ids),
-                               "saved": hit.saved,
-                               "bytes": hit.bytes_saved,
-                               "key": hit.key[:16]})
+    @property
+    def _degrade(self) -> bool:
+        return self.resilience is not None and self.resilience.degrade
 
-    def _emit_cache_miss(self, graph: TaskGraph,
-                         invocation: TaskInvocation, tool_type: str,
-                         key: str) -> None:
-        self.bus.emit(CACHE_MISS, flow=graph.name,
-                      node=",".join(invocation.outputs),
-                      tool_type=tool_type, machine=self.machine,
-                      payload={"key": key[:16]})
+    # ------------------------------------------------------------------
+    # routing: the sequential walk, admission and failures
+    # ------------------------------------------------------------------
+    def _walk(self, run: _Run, nodes: set[str], machine: str) -> int:
+        """Run the invocations producing ``nodes`` in topological order.
 
-    def _call_tool(self, graph: TaskGraph, invocation: TaskInvocation,
-                   tool_type: str, call) -> tuple[Any, CallStats]:
-        """Run one tool/composition call under faults and the policy.
-
-        This is the single resilience boundary: the fault plan wraps
-        the raw call (so injected crashes/hangs hit the same machinery
-        real ones would), and the policy wraps the fault plan (so
-        injected transients are retried, injected hangs time out).
-        Without a policy the call runs bare and any failure propagates
-        unchanged — today's behavior.
+        Returns how many invocations executed a tool or composition.
         """
-        guarded = call
-        if self.faults is not None:
-            faults, inner = self.faults, call
-            guarded = lambda: faults.apply(tool_type, inner)  # noqa: E731
-        if self.profiler is not None:
-            # inside the policy wrap, outside the fault wrap: every
-            # attempt (including injected slowdowns, and watchdog
-            # threads running the body) registers the thread that
-            # actually executes the tool
-            profiler, wrapped = self.profiler, guarded
-            guarded = lambda: profiler.run(tool_type, wrapped)  # noqa: E731
-        policy = self.resilience
-        if policy is None:
-            return guarded(), CallStats()
-        node = ",".join(invocation.outputs)
-        emitting = self.bus.enabled
+        graph = run.graph
+        invocation_of: dict[str, TaskInvocation] = {}
+        for invocation in graph.invocations():
+            for output in invocation.outputs:
+                invocation_of[output] = invocation
+        seen: set[int] = set()
+        executed = 0
+        for node_id in graph.topological_order():
+            invocation = invocation_of.get(node_id)
+            if node_id not in nodes or invocation is None \
+                    or id(invocation) in seen:
+                continue  # not needed, leaf (bound) node, or coalesced
+            seen.add(id(invocation))
+            if self._admit(run, invocation, machine):
+                executed += self._invoke(run, invocation,
+                                         machine) is not None
+        return executed
 
-        def on_retry(attempt: int, error: BaseException, delay: float,
-                     classification: str) -> None:
-            if emitting:
-                self.bus.emit(
-                    TOOL_RETRIED, flow=graph.name, node=node,
-                    tool_type=tool_type, machine=self.machine,
-                    payload={"attempt": attempt,
-                             "error": str(error),
-                             "error_class": type(error).__name__,
-                             "classification": classification,
-                             "delay": round(delay, 6)})
+    def _admit(self, run: _Run, invocation: TaskInvocation,
+               machine: str) -> bool:
+        """False when an invocation needs no run: its outputs exist
+        (recorded as skipped) or, under degradation, one of its
+        suppliers failed.
 
-        def on_timeout(attempt: int, budget: float) -> None:
-            if emitting:
-                self.bus.emit(
-                    TOOL_TIMED_OUT, flow=graph.name, node=node,
-                    tool_type=tool_type, machine=self.machine,
-                    payload={"attempt": attempt, "budget": budget})
-
-        def on_quarantine(consecutive: int) -> None:
-            if emitting:
-                self.bus.emit(
-                    TOOL_QUARANTINED, flow=graph.name, node=node,
-                    tool_type=tool_type, machine=self.machine,
-                    payload={"consecutive_failures": consecutive})
-
-        return policy.run(tool_type, guarded, on_retry=on_retry,
-                          on_timeout=on_timeout,
-                          on_quarantine=on_quarantine)
-
-    def _failure_entry(self, error: BaseException,
-                       outputs: Sequence[str]) -> InvocationFailure:
-        """Distill one fatal invocation error into a report entry."""
-        return failure_entry(
-            error, outputs=tuple(outputs),
-            tool_type=getattr(error, "repro_tool_type", None),
-            machine=self.machine, policy=self.resilience)
-
-    def _run_invocation(
-            self, graph: TaskGraph, invocation: TaskInvocation, *,
-            queue_wait: float = 0.0, wave: int | None = None
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        """Execute one coalesced invocation, consulting the cache.
-
-        Returns the executed-runs entry and the cache-reuse entry; a
-        fully warm invocation yields ``(None, CachedInvocation)``, a
-        cold one ``(InvocationResult, None)``, and a partially warm
-        fan-out both.  ``queue_wait`` and ``wave`` come from scheduling
-        coordinators and flow into the report and the task span.
+        An upstream failure records an ``upstream``-classified entry and
+        adds the invocation's own outputs to the failed set, so the
+        loss propagates down the subtree without ever invoking a tool
+        on missing inputs.
         """
-        attributes: dict[str, Any] = {
-            "flow": graph.name,
-            "machine": self.machine,
-            "outputs": sorted(invocation.outputs),
-            "inputs": sorted({supplier_id for _, supplier_id
-                              in invocation.inputs}),
-        }
-        if wave is not None:
-            attributes["wave"] = wave
-        if queue_wait > 0:
-            attributes["queue_wait"] = round(queue_wait, 6)
-        with self.tracer.span("task:" + ",".join(invocation.outputs),
-                              TASK_SPAN,
-                              attributes=attributes) as task_span:
-            result, cached = self._run_invocation_inner(
-                graph, invocation, task_span, queue_wait=queue_wait)
-        return result, cached
+        graph = run.graph
+        if not run.force and all(graph.node(o).results()
+                                 for o in invocation.outputs):
+            with self._lock:
+                run.report.skipped.extend(invocation.outputs)
+            return False
+        if not self._degrade:
+            return True
+        with self._lock:
+            upstream = sorted({supplier_id for _, supplier_id
+                               in invocation.inputs
+                               if supplier_id in run.failed})
+            if invocation.tool_node in run.failed:
+                upstream.append(invocation.tool_node)
+            if not upstream:
+                return True
+            run.report.failures.append(InvocationFailure(
+                outputs=tuple(invocation.outputs),
+                tool_type=_tool_type(graph, invocation),
+                error="inputs unavailable: upstream invocation(s) "
+                      "failed: " + ", ".join(upstream),
+                error_class="ExecutionError",
+                classification=UPSTREAM,
+                attempts=0,
+                machine=machine))
+            run.failed.update(invocation.outputs)
+        return False
 
-    def _run_invocation_inner(
-            self, graph: TaskGraph, invocation: TaskInvocation,
-            task_span: Any, *, queue_wait: float
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        started = time.perf_counter()
+    def _fail(self, run: _Run, invocation: TaskInvocation,
+              error: BaseException, machine: str) -> None:
+        """Raise an invocation's error, or under graceful degradation
+        record the loss and let independent work go on.
+
+        The error carries the tool type either way, so the ledger and
+        reports can group failures by tool.
+        """
+        if getattr(error, "repro_tool_type", None) is None:
+            annotate_error(error,
+                           tool_type=_tool_type(run.graph, invocation))
+        if not self._degrade:
+            raise error
+        with self._lock:
+            run.report.failures.append(failure_entry(
+                error, outputs=tuple(invocation.outputs),
+                tool_type=getattr(error, "repro_tool_type", None),
+                machine=machine, policy=self.resilience))
+            run.failed.update(invocation.outputs)
+        if self.bus.enabled:
+            self.bus.emit(EXECUTION_FAILED, flow=run.graph.name,
+                          node=",".join(invocation.outputs),
+                          machine=machine,
+                          payload={"error": str(error), "degraded": True})
+
+    def _quarantined_error(self, tool_type: str) -> BaseException:
+        """The fail-fast error for a tool type whose breaker is open."""
+        breaker = self.resilience.breaker
+        return annotate_error(
+            ToolQuarantinedError(
+                f"tool type {tool_type!r} is quarantined after "
+                f"{breaker.failures(tool_type)} consecutive failures"),
+            tool_type=tool_type, classification=QUARANTINED,
+            attempts=0, retries=0, timeouts=0)
+
+    # ------------------------------------------------------------------
+    # one invocation: prepare -> call -> record
+    # ------------------------------------------------------------------
+    def _invoke(self, run: _Run, invocation: TaskInvocation,
+                machine: str, queue_wait: float = 0.0,
+                wave: int | None = None) -> InvocationResult | None:
+        """Run one invocation inline, each cold combination in turn:
+        lookup, call, record, store.
+
+        Returns the executed-runs entry, or None when the cache served
+        every combination or a degraded failure was recorded.
+        """
+        try:
+            task = self._prepare(run, invocation, machine, queue_wait,
+                                 wave)
+            with self._task_span(run, task) as task_span:
+                for call in self._calls(run, task):
+                    with self._call_span(task, call) as call_span:
+                        self._call_tool(run, task, call)
+                        self._record(run, task, call, call_span)
+                return self._finish(run, task, task_span,
+                                    time.perf_counter() - task.started)
+        except Exception as error:
+            self._fail(run, invocation, error, machine)
+            return None
+
+    def _prepare(self, run: _Run, invocation: TaskInvocation,
+                 machine: str, queue_wait: float = 0.0,
+                 wave: int | None = None) -> _Task:
+        """Resolve the inputs, announce the invocation and fail fast
+        when its tool type is quarantined."""
+        graph = run.graph
         emitting = self.bus.enabled
         output_nodes = [graph.node(o) for o in invocation.outputs]
-        output_types = tuple(n.entity_type for n in output_nodes)
-        task_span.set(entity_types=sorted(set(output_types)))
         if emitting:
             for node in output_nodes:
                 self.bus.emit(NODE_READY, flow=graph.name,
-                              node=node.node_id, machine=self.machine,
+                              node=node.node_id, machine=machine,
                               payload={"entity_type": node.entity_type})
         role_ids: dict[str, tuple[str, ...]] = {}
         for role, supplier_id in invocation.inputs:
@@ -636,294 +650,357 @@ class FlowExecutor:
                     f"{supplier}: no instances available for role "
                     f"{role!r}")
             role_ids[role] = ids
-        tool_type = (graph.node(invocation.tool_node).entity_type
-                     if invocation.tool_node is not None else COMPOSE_TOOL)
-        task_span.set(tool_type=tool_type)
+        task = _Task(invocation, machine, _tool_type(graph, invocation),
+                     output_nodes, role_ids, queue_wait, wave)
         if emitting:
-            self.bus.emit(TOOL_INVOKED, flow=graph.name,
-                          node=",".join(invocation.outputs),
-                          tool_type=tool_type, machine=self.machine,
+            self.bus.emit(TOOL_INVOKED, flow=graph.name, node=task.node,
+                          tool_type=task.tool_type, machine=machine,
                           payload={"roles": sorted(role_ids)})
-        try:
-            if invocation.tool_node is None:
-                result, cached = self._run_composition(
-                    graph, invocation, output_nodes, output_types,
-                    role_ids)
-            else:
-                result, cached = self._run_tool(
-                    graph, invocation, output_nodes, output_types,
-                    role_ids)
-        except Exception as error:
-            # Failures outside the resilient call (contract checks,
-            # history rejection of corrupt output) still carry the
-            # tool type so the ledger and reports can group by tool.
-            if getattr(error, "repro_tool_type", None) is None:
-                annotate_error(error, tool_type=tool_type)
-            raise
-        if self._cache_for_run() is not None:
-            # cache outcome: every combination served from the cache is
-            # a hit; a mix of reused and executed combos is "partial"
-            if cached is not None:
-                task_span.set(cache="hit" if result is None
-                              else "partial")
-            elif self._cache_reads:
-                task_span.set(cache="miss")
-        if cached is not None:
-            task_span.set(reused=list(cached.instances))
-        if result is not None:
-            result.duration = time.perf_counter() - started
-            result.queue_wait = queue_wait
-            task_span.set(created=list(result.created),
-                          invocation_id=result.invocation_id)
-            if emitting:
-                payload: dict[str, Any] = {
-                    "runs": result.runs,
-                    "created": list(result.created)}
-                if queue_wait > 0:
-                    payload["queue_wait"] = round(queue_wait, 6)
-                self.bus.emit(
-                    COMPOSITION_RUN if invocation.tool_node is None
-                    else TOOL_FINISHED,
-                    flow=graph.name, node=",".join(invocation.outputs),
-                    tool_type=tool_type,
-                    invocation_id=result.invocation_id,
-                    machine=self.machine, duration=result.duration,
-                    payload=payload)
-        return result, cached
+        policy = self.resilience
+        if policy is not None and policy.breaker.is_open(task.tool_type):
+            raise self._quarantined_error(task.tool_type)
+        if invocation.tool_node is None:
+            # composed invocations have exactly one output
+            entity_type = output_nodes[0].entity_type
+            task.compose = self.registry.composition(entity_type)
+            task.encapsulation_name = f"compose:{entity_type}"
+        else:
+            tool_node = graph.node(invocation.tool_node)
+            task.tool_ids = tuple(tool_node.results())
+            if not task.tool_ids:
+                raise ExecutionError(
+                    f"{tool_node}: no tool instance available")
+        return task
 
-    def _run_composition(
-            self, graph: TaskGraph, invocation: TaskInvocation,
-            output_nodes, output_types, role_ids
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        # Composed invocations have exactly one output by construction.
-        node = output_nodes[0]
-        compose = self.registry.composition(node.entity_type)
-        cache = self._cache_for_run()
-        created: list[str] = []
-        reused: list[str] = []
-        runs = 0
-        retries = 0
-        timeouts = 0
-        hits = 0
-        saved = 0.0
-        bytes_saved = 0
-        invocation_id: str | None = None
-        for combo in _combinations(role_ids):
-            key = None
-            if cache is not None:
-                key = cache.composition_key(node.entity_type, combo)
-                if self._cache_reads:
-                    with self.tracer.span(
-                            f"cache:{node.entity_type}", CACHE_SPAN,
-                            attributes={"key": key[:16]}) as lookup:
-                        hit = cache.fetch(key, (node.entity_type,))
-                        lookup.set(outcome="hit" if hit is not None
-                                   else "miss")
-                    if hit is not None:
-                        reused.extend(hit.instance_ids)
-                        hits += 1
-                        saved += hit.saved
-                        bytes_saved += hit.bytes_saved
-                        self._emit_cache_hit(graph, invocation,
-                                             COMPOSE_TOOL, hit)
-                        continue
-                    self._emit_cache_miss(graph, invocation,
-                                          COMPOSE_TOOL, key)
-            with self._lock:
-                if invocation_id is None:
-                    invocation_id = self.db.new_invocation_id()
-                inputs = {role: self.db.data(ref)
-                          for role, ref in combo.items()}
-            with self.tracer.span(
-                    f"compose:{node.entity_type}", COMPOSE_SPAN,
-                    attributes={"entity_type": node.entity_type}
-                    ) as compose_span:
-                run_started = time.perf_counter()
-                data, call_stats = self._call_tool(
-                    graph, invocation, COMPOSE_TOOL,
-                    lambda: compose(inputs))
-                run_elapsed = time.perf_counter() - run_started
-                runs += 1
-                retries += call_stats.retries
-                timeouts += call_stats.timeouts
-                if call_stats.retries:
-                    compose_span.set(retries=call_stats.retries)
-                with self._lock:
-                    instance = self.db.record(
-                        node.entity_type, data,
-                        DerivationRecord.make(None, combo,
-                                              invocation_id),
-                        user=self.user, name=node.label,
-                        annotations={"flow": graph.name,
-                                     "machine": self.machine},
-                        trace=compose_span.context)
-                compose_span.set(created=[instance.instance_id],
-                                 invocation_id=invocation_id)
-            created.append(instance.instance_id)
-            if key is not None and self._cache_writes:
-                cache.store(key,
-                            [(node.entity_type, instance.instance_id)],
-                            run_elapsed)
-        node.produced = node.produced + tuple(reused) + tuple(created)
-        result = None
-        if runs:
-            result = InvocationResult(
-                invocation_id or "", None, (),
-                f"compose:{node.entity_type}", runs, tuple(created),
-                {node.node_id: tuple(created)}, 0.0, self.machine,
-                retries=retries, timeouts=timeouts)
-        cached = None
-        if hits:
-            cached = CachedInvocation(
-                None, invocation.outputs, hits, tuple(reused),
-                {node.node_id: tuple(reused)}, saved, bytes_saved,
-                self.machine)
-        return result, cached
-
-    def _run_tool(
-            self, graph: TaskGraph, invocation: TaskInvocation,
-            output_nodes, output_types, role_ids
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        tool_node = graph.node(invocation.tool_node)
-        tool_ids = tool_node.results()
-        if not tool_ids:
-            raise ExecutionError(
-                f"{tool_node}: no tool instance available")
-        cache = self._cache_for_run()
-        tool_type = tool_node.entity_type
-        created_all: list[str] = []
-        reused_all: list[str] = []
-        outputs_by_node: dict[str, list[str]] = {
-            n.node_id: [] for n in output_nodes}
-        reused_by_node: dict[str, list[str]] = {
-            n.node_id: [] for n in output_nodes}
-        runs = 0
-        retries = 0
-        timeouts = 0
-        hits = 0
-        saved = 0.0
-        bytes_saved = 0
-        invocation_id: str | None = None
-        encapsulation_name = ""
-        for tool_id in tool_ids:
+    def _combos(self, task: _Task) -> Iterator[
+            tuple[ToolEncapsulation | None, ToolContext | None,
+                  dict[str, Any]]]:
+        """Every (encapsulation, context, input combination) to run."""
+        if task.compose is not None:
+            for combo in _combinations(task.role_ids):
+                yield None, None, combo
+            return
+        for tool_id in task.tool_ids:
             with self._lock:
                 tool_instance = self.db.get(tool_id)
                 tool_data = self.db.data(tool_instance)
             enc = self.registry.resolve(tool_instance.entity_type, tool_id)
-            encapsulation_name = enc.name
+            task.encapsulation_name = enc.name
             ctx = ToolContext(
                 tool_type=tool_instance.entity_type,
                 tool_instance_id=tool_id,
                 tool_data=tool_data,
-                output_types=output_types,
+                output_types=task.output_types,
                 options=enc.options(),
                 user=self.user,
             )
             if enc.batch:
-                combos: list[dict[str, Any]] = [
-                    {role: list(ids) for role, ids in role_ids.items()}]
+                combos: Any = [{role: list(ids)
+                                for role, ids in task.role_ids.items()}]
             else:
-                combos = list(_combinations(role_ids))
+                combos = _combinations(task.role_ids)
             for combo in combos:
-                key = None
-                if cache is not None:
-                    key = cache.tool_run_key(tool_id, combo,
-                                             sorted(set(output_types)))
-                    if self._cache_reads:
-                        with self.tracer.span(
-                                f"cache:{tool_type}", CACHE_SPAN,
-                                attributes={"key": key[:16],
-                                            "tool": tool_id}) as lookup:
-                            hit = cache.fetch(
-                                key, sorted(set(output_types)))
-                            lookup.set(outcome="hit" if hit is not None
-                                       else "miss")
-                        if hit is not None:
-                            grouped = hit.ids_by_type()
-                            for node in output_nodes:
-                                ids = grouped.get(node.entity_type, [])
-                                instance_id = (ids.pop(0) if ids
-                                               else hit.instance_ids[0])
-                                reused_by_node[node.node_id].append(
-                                    instance_id)
-                                reused_all.append(instance_id)
-                            hits += 1
-                            saved += hit.saved
-                            bytes_saved += hit.bytes_saved
-                            self._emit_cache_hit(graph, invocation,
-                                                 tool_type, hit)
-                            continue
-                        self._emit_cache_miss(graph, invocation,
-                                              tool_type, key)
-                with self._lock:
-                    if invocation_id is None:
-                        invocation_id = self.db.new_invocation_id()
-                    inputs = {
-                        role: ([self.db.data(r) for r in ref]
-                               if isinstance(ref, list)
-                               else self.db.data(ref))
-                        for role, ref in combo.items()
-                    }
-                with self.tracer.span(
-                        f"tool:{tool_type}", TOOL_SPAN,
-                        attributes={"tool": tool_id,
-                                    "tool_type": tool_type,
-                                    "encapsulation": enc.name}
-                        ) as tool_span:
-                    run_started = time.perf_counter()
-                    result, call_stats = self._call_tool(
-                        graph, invocation, tool_type,
-                        lambda: enc.run(ctx, inputs))
-                    run_elapsed = time.perf_counter() - run_started
-                    runs += 1
-                    retries += call_stats.retries
-                    timeouts += call_stats.timeouts
-                    if call_stats.retries:
-                        tool_span.set(retries=call_stats.retries)
-                    if call_stats.timeouts:
-                        tool_span.set(timeouts=call_stats.timeouts)
-                    produced = _normalize_result(result, output_types,
-                                                 enc.name)
-                    record_inputs = _derivation_inputs(combo)
-                    combo_created: list[tuple[str, str]] = []
-                    for node in output_nodes:
-                        data = produced[node.entity_type]
-                        with self._lock:
-                            instance = self.db.record(
-                                node.entity_type, data,
-                                DerivationRecord(tool_id, record_inputs,
-                                                 invocation_id),
-                                user=self.user, name=node.label,
-                                annotations={"flow": graph.name,
-                                             "machine": self.machine},
-                                trace=tool_span.context)
-                        outputs_by_node[node.node_id].append(
-                            instance.instance_id)
-                        created_all.append(instance.instance_id)
-                        combo_created.append(
-                            (node.entity_type, instance.instance_id))
-                    tool_span.set(
-                        created=[i for _, i in combo_created])
-                if key is not None and self._cache_writes:
-                    cache.store(key, combo_created, run_elapsed)
-        for node in output_nodes:
+                yield enc, ctx, combo
+
+    def _calls(self, run: _Run, task: _Task) -> Iterator[_Call]:
+        """Look every combination up in the cache; yield the cold ones
+        with their inputs loaded.
+
+        A hit is folded into the task.  The first miss allocates the
+        invocation id all of the invocation's calls share.
+        """
+        cache = self._cache_for_run()
+        types = sorted(set(task.output_types))
+        for enc, ctx, combo in self._combos(task):
+            key = None
+            if cache is not None:
+                key = (cache.composition_key(task.name, combo)
+                       if ctx is None else
+                       cache.tool_run_key(ctx.tool_instance_id, combo,
+                                          types))
+                if self._cache_reads:
+                    attributes = {"key": key[:16]}
+                    if ctx is not None:
+                        attributes["tool"] = ctx.tool_instance_id
+                    with self.tracer.span(f"cache:{task.name}", CACHE_SPAN,
+                                          attributes=attributes) as lookup:
+                        hit = cache.fetch(key, types)
+                        lookup.set(outcome="hit" if hit is not None
+                                   else "miss")
+                    if hit is not None:
+                        self._take_hit(run, task, hit)
+                        continue
+                    if self.bus.enabled:
+                        self.bus.emit(CACHE_MISS, flow=run.graph.name,
+                                      node=task.node,
+                                      tool_type=task.tool_type,
+                                      machine=task.machine,
+                                      payload={"key": key[:16]})
+            with self._lock:
+                if task.invocation_id is None:
+                    task.invocation_id = self.db.new_invocation_id()
+                inputs = {
+                    role: ([self.db.data(r) for r in ref]
+                           if isinstance(ref, list)
+                           else self.db.data(ref))
+                    for role, ref in combo.items()
+                }
+            yield _Call(enc, ctx, combo, key, inputs)
+
+    def _take_hit(self, run: _Run, task: _Task, hit: Any) -> None:
+        grouped = hit.ids_by_type()
+        for node in task.output_nodes:
+            ids = grouped.get(node.entity_type, [])
+            instance_id = ids.pop(0) if ids else hit.instance_ids[0]
+            task.reused_by_node[node.node_id].append(instance_id)
+            task.reused.append(instance_id)
+        task.hits += 1
+        task.saved += hit.saved
+        task.bytes_saved += hit.bytes_saved
+        if self.bus.enabled:
+            self.bus.emit(CACHE_HIT, flow=run.graph.name, node=task.node,
+                          tool_type=task.tool_type, machine=task.machine,
+                          payload={"instances": list(hit.instance_ids),
+                                   "saved": hit.saved,
+                                   "bytes": hit.bytes_saved,
+                                   "key": hit.key[:16]})
+
+    def _call_tool(self, run: _Run, task: _Task, call: _Call) -> None:
+        """The inline call step, under faults and the policy.
+
+        This is the single in-process resilience boundary: the fault
+        plan wraps the raw call (so injected crashes/hangs hit the same
+        machinery real ones would), and the policy wraps the fault plan
+        (so injected transients are retried, injected hangs time out).
+        Without a policy the call runs bare and any failure propagates
+        unchanged.
+        """
+        tool_type = task.tool_type
+        if task.compose is not None:
+            compose = task.compose
+            guarded = lambda: compose(call.inputs)  # noqa: E731
+        else:
+            guarded = lambda: call.enc.run(call.ctx, call.inputs)  # noqa: E731
+        if self.faults is not None:
+            faults, inner = self.faults, guarded
+            guarded = lambda: faults.apply(tool_type, inner)  # noqa: E731
+        if self.profiler is not None:
+            # inside the policy wrap, outside the fault wrap: every
+            # attempt (including injected slowdowns, and watchdog
+            # threads running the body) registers the thread that
+            # actually executes the tool
+            profiler, wrapped = self.profiler, guarded
+            guarded = lambda: profiler.run(tool_type, wrapped)  # noqa: E731
+        started = time.perf_counter()
+        policy = self.resilience
+        if policy is None:
+            call.value, call.stats = guarded(), CallStats()
+        else:
+            call.value, call.stats = policy.run(
+                tool_type, guarded, **self._policy_hooks(run, task))
+        call.elapsed = time.perf_counter() - started
+
+    def _policy_hooks(self, run: _Run,
+                      task: _Task) -> dict[str, Callable[..., None]]:
+        """Event hooks for :meth:`ResiliencePolicy.run`."""
+        if not self.bus.enabled:
+            return {}
+        emit = functools.partial(self.bus.emit, flow=run.graph.name,
+                                 node=task.node, tool_type=task.tool_type,
+                                 machine=task.machine)
+
+        def on_retry(attempt: int, error: BaseException, delay: float,
+                     classification: str) -> None:
+            emit(TOOL_RETRIED,
+                 payload={"attempt": attempt, "error": str(error),
+                          "error_class": type(error).__name__,
+                          "classification": classification,
+                          "delay": round(delay, 6)})
+
+        def on_timeout(attempt: int, budget: float) -> None:
+            emit(TOOL_TIMED_OUT,
+                 payload={"attempt": attempt, "budget": budget})
+
+        def on_quarantine(consecutive: int) -> None:
+            emit(TOOL_QUARANTINED,
+                 payload={"consecutive_failures": consecutive})
+
+        return {"on_retry": on_retry, "on_timeout": on_timeout,
+                "on_quarantine": on_quarantine}
+
+    def _task_span(self, run: _Run, task: _Task):
+        attributes: dict[str, Any] = {
+            "flow": run.graph.name,
+            "machine": task.machine,
+            "outputs": sorted(task.invocation.outputs),
+            "inputs": sorted({supplier_id for _, supplier_id
+                              in task.invocation.inputs}),
+            "entity_types": sorted(set(task.output_types)),
+            "tool_type": task.tool_type,
+        }
+        if task.wave is not None:
+            attributes["wave"] = task.wave
+        if task.queue_wait > 0:
+            attributes["queue_wait"] = round(task.queue_wait, 6)
+        return self.tracer.span("task:" + task.node, TASK_SPAN,
+                                attributes=attributes)
+
+    def _call_span(self, task: _Task, call: _Call, **attributes: Any):
+        """The tool (or compose) span one call is recorded under."""
+        if call.enc is None:
+            return self.tracer.span(
+                f"compose:{task.name}", COMPOSE_SPAN,
+                attributes={"entity_type": task.name, **attributes})
+        return self.tracer.span(
+            f"tool:{task.name}", TOOL_SPAN,
+            attributes={"tool": call.tool_id, "tool_type": task.name,
+                        "encapsulation": call.enc.name, **attributes})
+
+    def _record(self, run: _Run, task: _Task, call: _Call,
+                span: Any) -> None:
+        """Record one finished call: history, its span, the cache."""
+        if call.stats.retries:
+            span.set(retries=call.stats.retries)
+        if call.stats.timeouts:
+            span.set(timeouts=call.stats.timeouts)
+        if call.enc is None:
+            produced = {task.name: call.value}
+        else:
+            produced = _normalize_result(call.value, task.output_types,
+                                         call.enc.name)
+        derivation = DerivationRecord(call.tool_id,
+                                      _derivation_inputs(call.combo),
+                                      task.invocation_id)
+        created: list[tuple[str, str]] = []
+        for node in task.output_nodes:
+            with self._lock:
+                instance = self.db.record(
+                    node.entity_type, produced[node.entity_type],
+                    derivation, user=self.user, name=node.label,
+                    annotations={"flow": run.graph.name,
+                                 "machine": task.machine},
+                    trace=span.context)
+            task.created_by_node[node.node_id].append(instance.instance_id)
+            task.created.append(instance.instance_id)
+            created.append((node.entity_type, instance.instance_id))
+        span.set(created=[i for _, i in created],
+                 invocation_id=task.invocation_id)
+        task.runs += 1
+        task.retries += call.stats.retries
+        task.timeouts += call.stats.timeouts
+        if call.key is not None and self._cache_writes:
+            self.cache.store(call.key, created, call.elapsed)
+
+    def _finish(self, run: _Run, task: _Task, span: Any,
+                duration: float) -> InvocationResult | None:
+        """Publish a recorded invocation: produced results, report
+        entries, the task span's outcome and the finish event.
+
+        A fully warm invocation yields only a cache entry, a cold one
+        only a result, and a partially warm fan-out both.
+        """
+        for node in task.output_nodes:
             node.produced = node.produced \
-                + tuple(reused_by_node[node.node_id]) \
-                + tuple(outputs_by_node[node.node_id])
-        result = None
-        if runs:
+                + tuple(task.reused_by_node[node.node_id]) \
+                + tuple(task.created_by_node[node.node_id])
+        tool_type = None if task.compose is not None else task.tool_type
+        result = cached = None
+        if task.runs:
             result = InvocationResult(
-                invocation_id or "", tool_type, tuple(tool_ids),
-                encapsulation_name, runs, tuple(created_all),
-                {k: tuple(v) for k, v in outputs_by_node.items()}, 0.0,
-                self.machine, retries=retries, timeouts=timeouts)
-        cached = None
-        if hits:
+                task.invocation_id or "", tool_type, task.tool_ids,
+                task.encapsulation_name, task.runs, tuple(task.created),
+                {k: tuple(v) for k, v in task.created_by_node.items()},
+                duration, task.machine, queue_wait=task.queue_wait,
+                retries=task.retries, timeouts=task.timeouts)
+            span.set(created=list(result.created),
+                     invocation_id=result.invocation_id)
+        if task.hits:
             cached = CachedInvocation(
-                tool_type, invocation.outputs, hits, tuple(reused_all),
-                {k: tuple(v) for k, v in reused_by_node.items()},
-                saved, bytes_saved, self.machine)
-        return result, cached
+                tool_type, task.invocation.outputs, task.hits,
+                tuple(task.reused),
+                {k: tuple(v) for k, v in task.reused_by_node.items()},
+                task.saved, task.bytes_saved, task.machine)
+            span.set(reused=list(cached.instances))
+        if self._cache_for_run() is not None:
+            # cache outcome: every combination served from the cache is
+            # a hit; a mix of reused and executed combos is "partial"
+            if cached is not None:
+                span.set(cache="hit" if result is None else "partial")
+            elif self._cache_reads:
+                span.set(cache="miss")
+        with self._lock:
+            if result is not None:
+                run.report.results.append(result)
+            if cached is not None:
+                run.report.cached.append(cached)
+        if result is not None and self.bus.enabled:
+            payload: dict[str, Any] = {"runs": result.runs,
+                                       "created": list(result.created)}
+            if task.queue_wait > 0:
+                payload["queue_wait"] = round(task.queue_wait, 6)
+            self.bus.emit(
+                COMPOSITION_RUN if task.compose is not None
+                else TOOL_FINISHED,
+                flow=run.graph.name, node=task.node,
+                tool_type=task.tool_type,
+                invocation_id=result.invocation_id,
+                machine=task.machine, duration=duration, payload=payload)
+        return result
+
+
+class FlowExecutor(_ExecutionKernel):
+    """Executes dynamically defined flows against a history database."""
+
+    def __init__(self, db: HistoryDatabase,
+                 registry: EncapsulationRegistry, *, user: str = "",
+                 machine: str = "local",
+                 lock: threading.Lock | None = None,
+                 bus: EventBus | None = None,
+                 cache: DerivationCache | None = None,
+                 cache_policy: str = CACHE_READWRITE,
+                 tracer: Tracer | None = None,
+                 ledger: RunLedger | None = None,
+                 resilience: ResiliencePolicy | None = None,
+                 faults: FaultPlan | None = None,
+                 profiler=None) -> None:
+        super().__init__(db, registry, user=user, bus=bus, cache=cache,
+                         cache_policy=cache_policy, tracer=tracer,
+                         ledger=ledger, resilience=resilience,
+                         faults=faults, profiler=profiler, lock=lock)
+        self.machine = machine
+
+    def execute(self, flow: TaskGraph | DynamicFlow,
+                targets: Sequence[str] | None = None, *,
+                force: bool = False,
+                cache: str | None = None) -> ExecutionReport:
+        """Run a flow (or the sub-flow reaching ``targets``).
+
+        Already-executed nodes (with ``produced`` results) and bound
+        nodes are reused unless ``force`` re-runs every invocation.
+        ``cache`` overrides the executor's cache policy for this call
+        (``"off"`` / ``"reuse"`` / ``"readwrite"``).
+        """
+        return self._execute(flow, targets, force=force, cache=cache)
+
+    def execute_node(self, flow: TaskGraph | DynamicFlow,
+                     node_id: str, *, force: bool = False
+                     ) -> ExecutionReport:
+        """Run just the sub-flow producing one node."""
+        return self.execute(flow, targets=[node_id], force=force)
+
+    def _plan(self, run: _Run) -> dict[str, Any]:
+        return {"machine": self.machine, "nodes": len(run.needed),
+                "targets": sorted(run.targets or ()), "force": run.force}
+
+    def _dispatch_run(self, run: _Run) -> None:
+        self._walk(run, run.needed, self.machine)
+
+
+def _tool_type(graph: TaskGraph, invocation: TaskInvocation) -> str:
+    """An invocation's tool type as events and the policy see it."""
+    if invocation.tool_node is None:
+        return COMPOSE_TOOL
+    return graph.node(invocation.tool_node).entity_type
 
 
 def _combinations(role_ids: dict[str, tuple[str, ...]]):

@@ -20,21 +20,23 @@ Three pieces:
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph, TaskInvocation
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
-from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, EXECUTION_FAILED,
-                   FLOW_FINISHED, FLOW_STARTED, NO_OP_TRACER, RUN_SPAN,
-                   SCHEDULED_EXECUTOR, TOOL_FINISHED, WAVE_SPAN, Event,
-                   EventBus, RunLedger, Tracer)
-from .cache import CACHE_OFF, DerivationCache, normalize_policy
+from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, SCHEDULED_EXECUTOR,
+                   TOOL_FINISHED, WAVE_SPAN, Event, EventBus, RunLedger,
+                   Tracer)
+from .cache import CACHE_OFF, DerivationCache
 from .encapsulation import EncapsulationRegistry
-from .executor import ExecutionReport, FlowExecutor, InvocationResult
+from .executor import (ExecutionReport, InvocationResult,
+                       _ExecutionKernel, _Run)
 from .faults import FaultPlan
 from .parallel import MachinePool
 from .resilience import ResiliencePolicy
@@ -136,9 +138,8 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _invocation_graph(graph: TaskGraph, schema_graph: TaskGraph | None,
-                      durations: DurationModel,
-                      tool_type_of) -> list[_InvocationNode]:
+def _invocation_graph(graph: TaskGraph,
+                      durations: DurationModel) -> list[_InvocationNode]:
     invocations = graph.invocations()
     producer_of: dict[str, int] = {}
     for index, invocation in enumerate(invocations):
@@ -159,21 +160,14 @@ def _invocation_graph(graph: TaskGraph, schema_graph: TaskGraph | None,
             successors[pred].add(index)
     nodes = []
     for index, invocation in enumerate(invocations):
-        tool_type = tool_type_of(invocation)
+        tool_type = (graph.node(invocation.tool_node).entity_type
+                     if invocation.tool_node is not None else None)
         nodes.append(_InvocationNode(
             index, invocation, tool_type,
             tuple(sorted(predecessors[index])),
             tuple(sorted(successors[index])),
             durations.estimate(tool_type)))
     return nodes
-
-
-def _tool_type_of(graph: TaskGraph):
-    def lookup(invocation: TaskInvocation) -> str | None:
-        if invocation.tool_node is None:
-            return None
-        return graph.node(invocation.tool_node).entity_type
-    return lookup
 
 
 def _critical_lengths(nodes: list[_InvocationNode]) -> list[float]:
@@ -207,8 +201,7 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
     if machines < 1:
         raise ExecutionError("need at least one machine")
     durations = durations if durations is not None else DurationModel()
-    nodes = _invocation_graph(graph, None, durations,
-                              _tool_type_of(graph))
+    nodes = _invocation_graph(graph, durations)
     priority = _critical_lengths(nodes)
     pending = {n.index: len(n.predecessors) for n in nodes}
     ready = sorted((n.index for n in nodes if not n.predecessors),
@@ -244,8 +237,172 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
     return Schedule(tuple(entries), makespan, machines, serial, critical)
 
 
-class ScheduledFlowExecutor:
+class _ReadySet:
+    """One run's invocation graph state, shared by every lane.
+
+    One graph state and interchangeable workers: lanes claim ready
+    invocations, run them wherever their dispatcher runs calls, and
+    release the successors.
+    """
+
+    def __init__(self, nodes: list[_InvocationNode]) -> None:
+        self.nodes = nodes
+        self.done = 0
+        self.errors: list[BaseException] = []
+        self.condition = threading.Condition()
+        # dependency depth of each invocation: its scheduler "wave"
+        # (wave 0 runs immediately, wave n waits on some wave n-1 task)
+        self.wave: dict[int, int] = {}
+        for node in nodes:
+            chain = [node.index]
+            while chain:
+                index = chain[-1]
+                missing = [p for p in nodes[index].predecessors
+                           if p not in self.wave]
+                if missing:
+                    chain.extend(missing)
+                    continue
+                chain.pop()
+                self.wave[index] = 1 + max(
+                    (self.wave[p] for p in nodes[index].predecessors),
+                    default=-1)
+        self.pending = {n.index: len(n.predecessors) for n in nodes}
+        self.ready = [n.index for n in nodes if not n.predecessors]
+        # when each invocation became runnable, for queue-wait accounting
+        self.ready_at = dict.fromkeys(self.ready, time.perf_counter())
+
+    def claim(self, batch: Callable[[str | None, int], int] | None = None
+              ) -> list[int]:
+        """Wait for ready work and claim it; ``[]`` once the run is over.
+
+        A lane claims the oldest ready invocation.  ``batch(tool_type,
+        ready)`` may let it claim up to that many ready invocations of
+        the same tool type in one go.
+        """
+        with self.condition:
+            while not self.ready and self.done < len(self.nodes) \
+                    and not self.errors:
+                self.condition.wait()
+            if self.errors or self.done >= len(self.nodes):
+                return []
+            claimed = [self.ready.pop(0)]
+            if batch is None:
+                return claimed
+            tool_type = self.nodes[claimed[0]].tool_type
+            limit = batch(tool_type, len(self.ready) + 1)
+            position = 0
+            while position < len(self.ready) and len(claimed) < limit:
+                if self.nodes[self.ready[position]].tool_type == tool_type:
+                    claimed.append(self.ready.pop(position))
+                else:
+                    position += 1
+            return claimed
+
+    def release(self, claimed: list[int]) -> None:
+        """Mark claimed invocations done and ready their successors."""
+        with self.condition:
+            now = time.perf_counter()
+            for index in claimed:
+                self.done += 1
+                for successor in self.nodes[index].successors:
+                    self.pending[successor] -= 1
+                    if self.pending[successor] == 0:
+                        self.ready.append(successor)
+                        self.ready_at[successor] = now
+            self.condition.notify_all()
+
+    def abort(self, error: BaseException) -> None:
+        with self.condition:
+            self.errors.append(error)
+            self.condition.notify_all()
+
+
+class _Claim(NamedTuple):
+    invocation: TaskInvocation
+    queue_wait: float
+    wave: int
+
+
+class _ReadySetExecutor(_ExecutionKernel):
+    """The ready-set driver the thread and process tiers share.
+
+    Both plan the flow's invocation graph and run one lane per machine
+    (or worker) over one shared :class:`_ReadySet`; they differ in what
+    a lane claims at a time and where it runs the calls.
+    """
+
+    durations: DurationModel
+
+    def _execute_learning(self, flow: TaskGraph | DynamicFlow,
+                          force: bool,
+                          cache: str | None) -> ExecutionReport:
+        """The run envelope, with the duration model learning from this
+        run's ``tool_finished`` / ``composition_run`` events.
+
+        The model listens only while the run lasts: a subscription for
+        good would keep the shared bus enabled and make every later
+        run, on any executor, pay for events.
+        """
+        self.bus.subscribe(self.durations)
+        try:
+            return self._execute(flow, None, force=force, cache=cache)
+        finally:
+            self.bus.unsubscribe(self.durations)
+
+    def _drive(self, run: _Run,
+               lanes: list[Callable[[_ReadySet], None]]) -> None:
+        """Run each lane on its own thread over one ready set; once all
+        stopped, re-raise the first error any of them hit."""
+        state = _ReadySet(run.plan)
+        threads = [threading.Thread(target=lane, args=(state,))
+                   for lane in lanes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if state.errors:
+            raise state.errors[0]
+
+    def _claim_loop(self, run: _Run, state: _ReadySet, machine: str,
+                    dispatch: Callable[[list[_Claim]], int],
+                    batch: Callable[[str | None, int], int] | None = None
+                    ) -> int:
+        """One lane: claim, admit, dispatch and release until the run is
+        over.  Returns how many invocations the lane executed.
+
+        An invocation that failed under graceful degradation is still
+        released: its successors must be skipped as upstream failures,
+        or the other lanes would wait for them forever.
+        """
+        executed = 0
+        while True:
+            claimed = state.claim(batch)
+            if not claimed:
+                return executed
+            # The wait ends when dispatch starts, measured after the
+            # claim lock is released: contention for the lock counts as
+            # waiting, it is not hidden inside it.
+            dispatch_at = time.perf_counter()
+            claims = []
+            for index in claimed:
+                invocation = state.nodes[index].invocation
+                if self._admit(run, invocation, machine):
+                    claims.append(_Claim(
+                        invocation,
+                        max(0.0, dispatch_at - state.ready_at[index]),
+                        state.wave[index]))
+            try:
+                executed += dispatch(claims)
+            except BaseException as error:
+                state.abort(error)
+                return executed
+            state.release(claimed)
+
+
+class ScheduledFlowExecutor(_ReadySetExecutor):
     """Executes one flow with invocation-level parallelism."""
+
+    _kind = SCHEDULED_EXECUTOR
 
     def __init__(self, db: HistoryDatabase,
                  registry: EncapsulationRegistry, *, user: str = "",
@@ -259,264 +416,56 @@ class ScheduledFlowExecutor:
                  resilience: ResiliencePolicy | None = None,
                  faults: FaultPlan | None = None,
                  profiler=None) -> None:
-        self.db = db
-        self.registry = registry
-        self.user = user
+        # the duration model listens on this bus while a run lasts
+        super().__init__(db, registry, user=user,
+                         bus=bus if bus is not None else EventBus(),
+                         cache=cache, cache_policy=cache_policy,
+                         tracer=tracer, ledger=ledger,
+                         resilience=resilience, faults=faults,
+                         profiler=profiler)
         self.pool = pool if pool is not None else MachinePool.local(machines)
-        self.tracer = tracer if tracer is not None else NO_OP_TRACER
-        # Shared across every worker lane: one breaker, one fault
-        # counter sequence, no matter which machine runs an invocation.
-        self.resilience = resilience
-        self.faults = faults
-        # Shared across worker lanes: the sampler thread reads every
-        # lane's registered tool invocation.
-        self.profiler = profiler
-        self.cache = cache
-        self.cache_policy = normalize_policy(
-            cache_policy if cache is not None else CACHE_OFF)
-        # One RunRecord per execute() call (workers share this
-        # coordinator's report; they never write the ledger themselves).
-        self.ledger = ledger
         self.durations = durations if durations is not None \
             else DurationModel()
-        # The duration model learns from the event stream: worker
-        # executors emit tool_finished/composition_run on this bus and
-        # the model is just one more subscriber.
-        self.bus = bus if bus is not None else EventBus()
-        self.bus.subscribe(self.durations)
-        self._db_lock = threading.Lock()
+
+    @property
+    def _pool_size(self) -> int:
+        return len(self.pool)
 
     def execute(self, flow: TaskGraph | DynamicFlow, *,
                 force: bool = False,
                 cache: str | None = None) -> ExecutionReport:
-        if cache is not None:
-            if self.cache is None and normalize_policy(cache) != CACHE_OFF:
-                raise ExecutionError(
-                    f"cache policy {cache!r} requires a DerivationCache")
-            self.cache_policy = normalize_policy(cache)
-        graph = flow.graph if isinstance(flow, DynamicFlow) else flow
-        graph.validate()
-        started = time.perf_counter()
-        nodes = _invocation_graph(graph, None, self.durations,
-                                  _tool_type_of(graph))
-        report = ExecutionReport(graph.name)
-        if not nodes:
-            return report
-        self.bus.emit(FLOW_STARTED, flow=graph.name,
-                      payload={"scheduler": "invocation-level",
-                               "machines": len(self.pool),
-                               "invocations": len(nodes)})
-        # readiness check mirrors FlowExecutor
-        probe = FlowExecutor(self.db, self.registry, user=self.user,
-                             lock=self._db_lock)
-        probe._check_ready(graph, set(graph.node_ids()))
-        if force:
-            for node_id in graph.node_ids():
-                if graph.suppliers(node_id):
-                    graph.node(node_id).produced = ()
+        return self._execute_learning(flow, force, cache)
 
-        # dependency depth of each invocation: its scheduler "wave"
-        # (wave 0 runs immediately, wave n waits on some wave n-1 task)
-        wave: dict[int, int] = {}
-        for node in nodes:
-            chain = [node.index]
-            while chain:
-                index = chain[-1]
-                missing = [p for p in nodes[index].predecessors
-                           if p not in wave]
-                if missing:
-                    chain.extend(missing)
-                    continue
-                chain.pop()
-                wave[index] = 1 + max(
-                    (wave[p] for p in nodes[index].predecessors),
-                    default=-1)
+    def _plan(self, run: _Run) -> dict[str, Any]:
+        run.plan = _invocation_graph(run.graph, self.durations)
+        return {"scheduler": "invocation-level",
+                "machines": len(self.pool), "invocations": len(run.plan)}
 
-        # One root span; workers adopt its context explicitly and open
-        # one lane span each, so queue waits show per machine.
-        run_span = None
-        run_ctx = None
-        if self.tracer.enabled:
-            run_span = self.tracer.start_span(
-                f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name,
-                            "scheduler": "invocation-level",
-                            "machines": len(self.pool),
-                            "invocations": len(nodes),
-                            "cache": self.cache_policy})
-            run_ctx = run_span.context
+    def _dispatch_run(self, run: _Run) -> None:
+        if not run.plan:
+            return
 
-        pending = {n.index: len(n.predecessors) for n in nodes}
-        condition = threading.Condition()
-        ready = [n.index for n in nodes if not n.predecessors]
-        # when each invocation became runnable, for queue-wait accounting
-        ready_at = {index: time.perf_counter() for index in ready}
-        done: set[int] = set()
-        errors: list[BaseException] = []
-        # node ids whose producing invocation failed under degradation;
-        # dependents are skipped with an "upstream" failure entry
-        failed_nodes: set[str] = set()
-        report_lock = threading.Lock()
-
-        def worker() -> None:
+        def lane(state: _ReadySet) -> None:
             machine = self.pool.acquire()
-            executor = FlowExecutor(self.db, self.registry,
-                                    user=self.user, machine=machine.name,
-                                    lock=self._db_lock, bus=self.bus,
-                                    cache=self.cache,
-                                    cache_policy=self.cache_policy,
-                                    tracer=self.tracer,
-                                    resilience=self.resilience,
-                                    faults=self.faults,
-                                    profiler=self.profiler)
-            executor._force = force
-            executor._trace_run_span = False
             try:
-                with self.tracer.activate(run_ctx), self.tracer.span(
+                with self.tracer.activate(run.context), self.tracer.span(
                         f"lane:{machine.name}", WAVE_SPAN,
-                        attributes={"flow": graph.name,
-                                    "machine": machine.name}) as lane:
-                    executed = self._drain_ready(
-                        graph, nodes, executor, machine, force,
-                        condition, pending, ready, ready_at, done,
-                        errors, report, report_lock, wave,
-                        failed_nodes)
-                    lane.set(invocations=executed)
+                        attributes={"flow": run.graph.name,
+                                    "machine": machine.name}) as span:
+                    executed = self._claim_loop(
+                        run, state, machine.name,
+                        functools.partial(self._run_claims, run,
+                                          machine.name))
+                    span.set(invocations=executed)
+                machine.executed_invocations += executed
             finally:
                 self.pool.release(machine)
 
-        threads = [threading.Thread(target=worker)
-                   for _ in range(len(self.pool))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        try:
-            if errors:
-                self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                              payload={"error": str(errors[0])})
-                if run_span is not None:
-                    run_span.status = \
-                        f"error:{type(errors[0]).__name__}"
-                report.wall_time = time.perf_counter() - started
-                self._ledger_record(report, run_span, errors[0])
-                raise errors[0]
-            if self.resilience is not None:
-                report.quarantined = sorted(
-                    set(report.quarantined)
-                    | set(self.resilience.quarantined()))
-            report.wall_time = time.perf_counter() - started
-            if run_span is not None:
-                run_span.set(runs=report.runs,
-                             created=len(report.created),
-                             cache_hits=report.cache_hits,
-                             queue_wait=round(report.queue_wait_time, 6))
-        finally:
-            if run_span is not None:
-                self.tracer.finish(run_span)
-        self.bus.emit(FLOW_FINISHED, flow=graph.name,
-                      duration=report.wall_time,
-                      payload={"serial_time": report.serial_time,
-                               "speedup": round(report.speedup, 3),
-                               "runs": report.runs,
-                               "cache_hits": report.cache_hits,
-                               "queue_wait": round(
-                                   report.queue_wait_time, 6)})
-        self._ledger_record(report, run_span)
-        return report
+        self._drive(run, [lane] * len(self.pool))
 
-    def _ledger_record(self, report: ExecutionReport, run_span,
-                       error: BaseException | None = None) -> None:
-        if self.ledger is None:
-            return
-        self.ledger.record_run(
-            report, executor=SCHEDULED_EXECUTOR,
-            cache_policy=self.cache_policy,
-            trace_id=run_span.trace_id if run_span is not None else "",
-            error=error,
-            profile=(self.profiler.summary()
-                     if self.profiler is not None else None),
-            pool_size=len(self.pool))
-
-    def _drain_ready(self, graph: TaskGraph,
-                     nodes: list[_InvocationNode],
-                     executor: FlowExecutor, machine,
-                     force: bool, condition: threading.Condition,
-                     pending: dict[int, int], ready: list[int],
-                     ready_at: dict[int, float], done: set[int],
-                     errors: list[BaseException],
-                     report: ExecutionReport,
-                     report_lock: threading.Lock,
-                     wave: dict[int, int],
-                     failed_nodes: set[str]) -> int:
-        """One worker's loop: claim ready invocations until drained.
-
-        Returns the number of invocations this worker executed.  Under
-        graceful degradation a failed invocation is recorded in the
-        report and still marked done — its successors must be released
-        (and skipped as upstream failures), or the other workers would
-        wait on the condition forever.
-        """
-        degrade = (executor.resilience is not None
-                   and executor.resilience.degrade)
-        executed = 0
-        while True:
-            with condition:
-                while not ready and len(done) < len(nodes) \
-                        and not errors:
-                    condition.wait()
-                if errors or len(done) >= len(nodes):
-                    return executed
-                index = ready.pop(0)
-                queue_wait = max(
-                    0.0, time.perf_counter() - ready_at.get(
-                        index, time.perf_counter()))
-            node = nodes[index]
-            outputs = [graph.node(o)
-                       for o in node.invocation.outputs]
-            skipped_upstream = False
-            if degrade:
-                with report_lock:
-                    skipped_upstream = \
-                        executor._record_upstream_failure(
-                            graph, node.invocation, report,
-                            failed_nodes)
-            try:
-                if skipped_upstream:
-                    pass
-                elif force or not all(o.results() for o in outputs):
-                    result, cached = executor._run_invocation(
-                        graph, node.invocation,
-                        queue_wait=queue_wait,
-                        wave=wave.get(index))
-                    with report_lock:
-                        if result is not None:
-                            report.results.append(result)
-                        if cached is not None:
-                            report.cached.append(cached)
-                    if result is not None:
-                        machine.executed_invocations += 1
-                        executed += 1
-                else:
-                    with report_lock:
-                        report.skipped.extend(
-                            node.invocation.outputs)
-            except BaseException as exc:
-                if not degrade:
-                    with condition:
-                        errors.append(exc)
-                        condition.notify_all()
-                    return executed
-                with report_lock:
-                    report.failures.append(executor._failure_entry(
-                        exc, node.invocation.outputs))
-                    failed_nodes.update(node.invocation.outputs)
-            with condition:
-                done.add(index)
-                now = time.perf_counter()
-                for successor in node.successors:
-                    pending[successor] -= 1
-                    if pending[successor] == 0:
-                        ready.append(successor)
-                        ready_at[successor] = now
-                condition.notify_all()
+    def _run_claims(self, run: _Run, machine: str,
+                    claims: list[_Claim]) -> int:
+        """Thread dispatch: run each claimed invocation inline."""
+        return sum(self._invoke(run, claim.invocation, machine,
+                                claim.queue_wait, claim.wave) is not None
+                   for claim in claims)

@@ -145,3 +145,74 @@ def test_chaos_on_generated_scenarios(seed, shape, faults):
     # retry-count exactness: every fired fault cost exactly one retry
     assert report.retries == len(plan.fired)
     assert history_signature(env) == expected_signature(spec)
+
+
+# ---------------------------------------------------------------------------
+# telemetry equivalence: every executor reports the same work
+# ---------------------------------------------------------------------------
+#: Events describing one invocation's lifecycle; machine names and
+#: timings differ by executor, what happened to which node must not.
+INVOCATION_EVENTS = ("node_ready", "tool_invoked", "cache_hit",
+                     "cache_miss", "tool_finished", "composition_run")
+INVOCATION_SPANS = ("task", "tool", "compose", "cache_lookup")
+TELEMETRY_SPEC = ScenarioSpec("t-diamond", "diamond", 5, 2, 2, 2)
+
+
+def _executor_for(env, executor: str, cache: str):
+    if executor == "parallel":
+        return env.parallel_executor(machines=2, cache=cache)
+    if executor == "scheduled":
+        return env.scheduled_executor(machines=2, cache=cache)
+    if executor == "procpool":
+        return env.process_executor(workers=2, cache=cache)
+    return env.executor(cache=cache)
+
+
+def _telemetry(executor: str, cache: str):
+    """Events and spans of one run under ``cache``.
+
+    For ``reuse`` a first ``readwrite`` run (unobserved) fills the
+    cache, so the observed run is the warm one.
+    """
+    from collections import Counter
+
+    from repro.obs import RingBufferSink
+
+    env = materialize_scenario(TELEMETRY_SPEC)
+    if cache == "reuse":
+        _executor_for(env, executor, "readwrite").execute(
+            env.flow_catalog.select(MAIN_FLOW))
+    events = env.bus.subscribe(RingBufferSink(8192))
+    spans = env.tracer.subscribe(RingBufferSink(8192))
+    _executor_for(env, executor, cache).execute(
+        env.flow_catalog.select(MAIN_FLOW))
+    kinds = Counter(e.event_type for e in events.events())
+    invocation_events = Counter(
+        (e.event_type, e.node, e.tool_type) for e in events.events()
+        if e.event_type in INVOCATION_EVENTS)
+    invocation_spans = Counter(
+        (s.kind, s.name) for s in spans.events()
+        if s.kind in INVOCATION_SPANS)
+    return kinds, invocation_events, invocation_spans
+
+
+@pytest.mark.parametrize("cache", ("readwrite", "reuse"))
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_telemetry_matches_sequential(executor, cache):
+    """Only where a tool call runs differs between executors."""
+    kinds, events, spans = _telemetry(executor, cache)
+    _, reference_events, reference_spans = _telemetry("sequential", cache)
+    assert events == reference_events
+    assert spans == reference_spans
+    assert (kinds["lane_assigned"] > 0) == (executor == "parallel")
+    assert (kinds["worker_stats"] > 0) == (executor == "procpool")
+    hit_or_miss = "cache_hit" if cache == "reuse" else "cache_miss"
+    assert kinds[hit_or_miss] > 0
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_one_flow_started_and_finished_per_run(executor):
+    """One run envelope per execute(): lanes never open a second one."""
+    kinds, _, _ = _telemetry(executor, "readwrite")
+    assert kinds["flow_started"] == 1
+    assert kinds["flow_finished"] == 1

@@ -290,3 +290,34 @@ class TestExecutionReportMerge:
         report = ExecutionReport("f")
         assert report.wall_time == 0.0
         assert report.speedup == 1.0
+
+
+class TestRunEnvelope:
+    """What every executor's run envelope guarantees, whatever the
+    dispatcher: one ledger record per call and a bus left as found."""
+
+    FACTORIES = ("executor", "parallel_executor", "scheduled_executor",
+                 "process_executor")
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_one_ledger_record_for_a_flow_without_invocations(
+            self, bare_env, tmp_path, factory):
+        ledger = bare_env.attach_ledger(tmp_path / "ledger.jsonl")
+        report = getattr(bare_env, factory)().execute(
+            bare_env.new_flow("empty"))
+        assert report.runs == 0
+        assert len(ledger.records()) == 1
+
+    @pytest.mark.parametrize("factory", ("scheduled_executor",
+                                         "process_executor"))
+    def test_duration_model_subscribed_only_while_executing(
+            self, bare_env, factory):
+        bus = bare_env.bus
+        sinks = list(bus._sinks)
+        executor = getattr(bare_env, factory)()
+        assert bus._sinks == sinks and not bus.enabled
+        flow, _ = TestExecutor().simulate_flow(bare_env)
+        executor.execute(flow)
+        assert bus._sinks == sinks and not bus.enabled
+        # the model still learned from the run's events
+        assert S.SIMULATOR in executor.durations.observed_types()

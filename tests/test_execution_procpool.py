@@ -211,14 +211,13 @@ class TestResilience:
 
 
 class TestQueueWait:
-    """Queue-wait accounting: regression-pins BOTH semantics.
+    """Queue-wait accounting: one rule for both tiers.
 
-    The thread scheduler measures the wait at claim time *inside* its
-    condition lock, so time spent contending for the claim lock itself
-    is attributed to the winning task's wait.  The procpool coordinator
-    measures on its own clock *after* releasing the lock — the wait
-    ends when dispatch actually starts.  Both must agree on the
-    invariants that matter: a single-lane run of independent equal
+    Thread lanes and procpool lanes share the ready-set driver, which
+    measures the wait on the coordinator's clock *after* releasing the
+    claim lock — the wait ends when dispatch actually starts, so
+    contention for the lock counts as waiting.  Both tiers must hold
+    the invariants that matter: a single-lane run of independent equal
     tasks accumulates roughly 0+1+2+3 task-lengths of wait, and tool
     durations never include any of it.
     """

@@ -145,6 +145,25 @@ class TestMaterializedRuns:
             assert signature_digest(signature) == \
                 entry["expected"]["history_digest"]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: synthetic.derived_payload summarizes inputs in "
+        "the caller's dict order; the executor passes roles sorted "
+        "(Fork10 before Fork2), the offline simulation in node order. "
+        "The one-line fix, sorted(inputs.items()), waits until "
+        "perfbench/test_perfbench.py stops pinning the defect "
+        "(lines 39-41 and 111)."))
+    def test_fork_join_fanout_past_nine_matches_simulation(self):
+        spec = ScenarioSpec("fj", "fork_join", 7, 2, 2, 11)
+        env = materialize_scenario(spec)
+        env.run(env.flow_catalog.select(MAIN_FLOW))
+        assert history_signature(env) == expected_signature(spec)
+
+    def test_fork_join_fanout_ten_matches_simulation(self):
+        spec = ScenarioSpec("fj", "fork_join", 7, 2, 2, 10)
+        env = materialize_scenario(spec)
+        env.run(env.flow_catalog.select(MAIN_FLOW))
+        assert history_signature(env) == expected_signature(spec)
+
     def test_corpus_registration_noop_on_standard_schemas(self):
         from repro.execution.context import DesignEnvironment
         env = DesignEnvironment(fig2_schema(), user="t")
