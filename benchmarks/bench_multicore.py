@@ -41,6 +41,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.execution import (DesignEnvironment,            # noqa: E402
                              encapsulation)
+from repro.obs import PROCESS_EXECUTOR                     # noqa: E402
 from repro.schema.builder import SchemaBuilder             # noqa: E402
 
 DEFAULT_BENCH = REPO / "BENCH_multicore.json"
@@ -134,7 +135,7 @@ def run_scenario(name: str, *, sweep=WORKER_SWEEP, repeats=REPEATS):
         best = float("inf")
         for repeat in range(repeats):
             env, flow = build_scenario(chains, stages, delay)
-            executor = env.process_executor(workers=workers)
+            executor = env.executor(PROCESS_EXECUTOR, workers=workers)
             started = time.perf_counter()
             report = executor.execute(flow)
             wall = time.perf_counter() - started

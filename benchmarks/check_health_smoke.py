@@ -147,13 +147,15 @@ def run_once(ledger_path: pathlib.Path | None, latency: float,
              metrics=None) -> float:
     """One parallel Fig. 6 run; returns its wall time in seconds."""
     from repro.execution import MachinePool
+    from repro.obs import PARALLEL_EXECUTOR
 
     env = make_env(latency)
     if ledger_path is not None:
         env.attach_ledger(ledger_path)
     if metrics is not None:
         env.bus.subscribe(metrics)
-    executor = env.parallel_executor(pool=MachinePool.local(BRANCHES))
+    executor = env.executor(PARALLEL_EXECUTOR,
+                            pool=MachinePool.local(BRANCHES))
     report = executor.execute(build_branches(env))
     return report.wall_time
 

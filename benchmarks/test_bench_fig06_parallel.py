@@ -10,6 +10,7 @@ count.
 import time
 
 from repro.execution import MachinePool, encapsulation
+from repro.obs import PARALLEL_EXECUTOR
 from repro.schema import standard as S
 
 from conftest import fresh_env
@@ -52,7 +53,8 @@ def build_branches(env):
 
 def run_with_machines(env, machines: int) -> float:
     flow = build_branches(env)
-    executor = env.parallel_executor(pool=MachinePool.local(machines))
+    executor = env.executor(PARALLEL_EXECUTOR,
+                            pool=MachinePool.local(machines))
     started = time.perf_counter()
     executor.execute(flow)
     return time.perf_counter() - started

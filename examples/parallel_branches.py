@@ -15,6 +15,7 @@ import time
 
 from repro import DesignEnvironment, odyssey_schema
 from repro.execution import MachinePool, encapsulation
+from repro.obs import PARALLEL_EXECUTOR
 from repro.schema import standard as S
 from repro.tools import extract, install_standard_tools, standard_library
 from repro.tools import stdcell_layout
@@ -80,7 +81,7 @@ def main() -> None:
     # parallel execution on a 4-machine pool
     parallel_flow = build_flow(env, extractor, layouts)
     pool = MachinePool.local(BRANCHES)
-    executor = env.parallel_executor(pool=pool)
+    executor = env.executor(PARALLEL_EXECUTOR, pool=pool)
     started = time.perf_counter()
     parallel_report = executor.execute(parallel_flow)
     parallel_time = time.perf_counter() - started

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from .errors import ReproError
 from .execution.cache import CACHE_OFF, CACHE_POLICIES
-from .execution.context import DesignEnvironment
+from .execution.context import EXECUTORS, DesignEnvironment
 from .execution.faults import FaultPlan
 from .execution.resilience import ResiliencePolicy
 from .history.consistency import consistency_report
@@ -51,7 +51,8 @@ from .history.database import BrowseFilter
 from .history.query import dependents_of_type
 from .history.store import BACKEND_SQLITE, BACKENDS
 from .history.trace import backward_trace
-from .obs import (EVENT_TYPES, HealthThresholds, JSONLSink,
+from .obs import (EVENT_TYPES, PROCESS_EXECUTOR, SEQUENTIAL_EXECUTOR,
+                  HealthThresholds, JSONLSink,
                   MetricsRegistry, ProfileAggregate, QueryRecorder,
                   RunLedger, RunRecord, SamplingProfiler, append_profile,
                   critical_path, evaluate_health, export_chrome,
@@ -221,13 +222,16 @@ def _run_resilience(args: argparse.Namespace
     return resilience, faults
 
 
+def _executor(env: DesignEnvironment, args: argparse.Namespace,
+              **options):
+    """The executor ``--executor``/``--machines``/``--workers`` name."""
+    return env.executor(
+        args.executor, workers=(args.workers
+                                if args.executor == PROCESS_EXECUTOR
+                                else args.machines), **options)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.executor in ("scheduled", "procpool") and args.target:
-        print("error: --target is not supported with "
-              f"--executor {args.executor} (invocation-level "
-              "scheduling always runs the whole flow)",
-              file=sys.stderr)
-        return 2
     if args.backend:
         # migrate-then-run: convert the directory first (a no-op when
         # it already uses the requested backend), then load normally
@@ -263,27 +267,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     resilience, faults = _run_resilience(args)
     cache = None if args.cache == "off" else args.cache
     try:
-        if args.executor == "parallel":
-            executor = env.parallel_executor(
-                machines=args.machines, cache=cache,
-                resilience=resilience, faults=faults)
-            report = executor.execute(flow, targets=args.target or None,
-                                      force=args.force)
-        elif args.executor == "scheduled":
-            executor = env.scheduled_executor(
-                machines=args.machines, cache=cache,
-                resilience=resilience, faults=faults)
-            report = executor.execute(flow, force=args.force)
-        elif args.executor == "procpool":
-            executor = env.process_executor(
-                workers=args.workers, cache=cache,
-                resilience=resilience, faults=faults)
-            report = executor.execute(flow, force=args.force)
-        else:
-            executor = env.executor(cache=cache, resilience=resilience,
-                                    faults=faults)
-            report = executor.execute(flow, targets=args.target or None,
-                                      force=args.force)
+        report = _executor(
+            env, args, cache=cache, resilience=resilience,
+            faults=faults).execute(flow, targets=args.target or None,
+                                   force=args.force)
     except ReproError as error:
         # Execution failure (as opposed to CLI usage failure, exit 2):
         # the ledger has the error-path record; exit 1 so scripted
@@ -777,18 +764,7 @@ def _corpus_run(args: argparse.Namespace) -> int:
         save_environment(env, scenario_dir, backend=args.backend)
         env = _load(str(scenario_dir))
         flow = env.flow_catalog.select(entry["flow"])
-        if args.executor == "parallel":
-            executor = env.parallel_executor(machines=args.machines,
-                                             cache=cache)
-        elif args.executor == "scheduled":
-            executor = env.scheduled_executor(machines=args.machines,
-                                              cache=cache)
-        elif args.executor == "procpool":
-            executor = env.process_executor(workers=args.workers,
-                                            cache=cache)
-        else:
-            executor = env.executor(cache=cache)
-        report = executor.execute(flow)
+        report = _executor(env, args, cache=cache).execute(flow)
         save_environment(env, scenario_dir)
         digest = signature_digest(history_signature(env))
         expected = entry["expected"]
@@ -936,10 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record hierarchical spans to the "
                           "environment's trace.jsonl (inspect with "
                           "'repro trace')")
-    run.add_argument("--executor",
-                     choices=["sequential", "parallel", "scheduled",
-                              "procpool"],
-                     default="sequential",
+    run.add_argument("--executor", choices=list(EXECUTORS),
+                     default=SEQUENTIAL_EXECUTOR,
                      help="sequential (default), parallel disjoint "
                           "branches, invocation-level scheduling, or "
                           "real multi-core worker processes "
@@ -1216,10 +1190,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "check history digests against the manifest")
     corpus_run.add_argument("directory",
                             help="a directory holding corpus.json")
-    corpus_run.add_argument("--executor",
-                            choices=["sequential", "parallel",
-                                     "scheduled", "procpool"],
-                            default="sequential",
+    corpus_run.add_argument("--executor", choices=list(EXECUTORS),
+                            default=SEQUENTIAL_EXECUTOR,
                             help="executor to drive every scenario "
                                  "with (default sequential)")
     corpus_run.add_argument("--machines", type=int, default=2,

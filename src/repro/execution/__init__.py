@@ -11,7 +11,7 @@ misbehave.
 from .cache import (CACHE_OFF, CACHE_POLICIES, CACHE_READWRITE,
                     CACHE_REUSE, CacheHit, CacheStats, DerivationCache,
                     normalize_policy)
-from .context import DesignEnvironment
+from .context import EXECUTORS, DesignEnvironment
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             ToolEncapsulation, default_composition,
                             encapsulation, fingerprint_callable)
@@ -52,6 +52,7 @@ __all__ = [
     "DerivationCache",
     "DesignEnvironment",
     "DurationModel",
+    "EXECUTORS",
     "EncapsulationRegistry",
     "EnvelopeOutcome",
     "ExecutionReport",

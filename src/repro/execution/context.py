@@ -11,7 +11,7 @@ from __future__ import annotations
 import pathlib
 from typing import Any, Callable, Sequence
 
-from ..errors import SchemaError
+from ..errors import ExecutionError, SchemaError
 from ..core.approaches import (data_based, goal_based, plan_based,
                                tool_based)
 from ..core.flow import DynamicFlow
@@ -22,7 +22,8 @@ from ..history.database import HistoryDatabase
 from ..history.datastore import CodecRegistry
 from ..history.instance import EntityInstance
 from ..history.store import HistoryStore
-from ..obs import DECOMPOSE_SPAN, EventBus, RunLedger, Tracer
+from ..obs import (DECOMPOSE_SPAN, SEQUENTIAL_EXECUTOR, EventBus,
+                   RunLedger, Tracer)
 from ..schema.catalog import (DataTypeCatalog, EntityCatalog, FlowCatalog,
                               ToolCatalog)
 from ..schema.schema import TaskSchema
@@ -31,10 +32,16 @@ from .encapsulation import (EncapsulationRegistry, ToolEncapsulation)
 from .executor import ExecutionReport, FlowExecutor
 from .faults import FaultPlan
 from .parallel import MachinePool, ParallelFlowExecutor
-from .procpool import DEFAULT_BATCH_MAX, ProcessFlowExecutor
+from .procpool import ProcessFlowExecutor
 from .resilience import ResiliencePolicy
-from .scheduler import DurationModel, ScheduledFlowExecutor
+from .scheduler import ScheduledFlowExecutor
 from .shared_memo import SharedDerivationMemo
+
+#: The executor tiers, keyed by the ``executor`` label of their ledger
+#: records.
+EXECUTORS = {cls._kind: cls for cls in (
+    FlowExecutor, ParallelFlowExecutor, ScheduledFlowExecutor,
+    ProcessFlowExecutor)}
 
 
 class DesignEnvironment:
@@ -192,69 +199,31 @@ class DesignEnvironment:
             return None, CACHE_OFF
         return self.cache, policy
 
-    def executor(self, machine: str = "local", *,
+    def executor(self, kind: str = SEQUENTIAL_EXECUTOR, *,
+                 workers: int = 2, pool: MachinePool | None = None,
                  cache: str | None = None,
                  resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None) -> FlowExecutor:
+                 faults: FaultPlan | None = None):
+        """An executor of one of the :data:`EXECUTORS` tiers, wired to
+        this environment.
+
+        ``workers`` sizes the pooled tiers: simulated machines for
+        ``parallel`` and ``scheduled``, worker processes for
+        ``procpool``.  A :class:`MachinePool` given as ``pool`` replaces
+        it on the machine tiers.  ``resilience`` and ``faults`` default
+        to the environment's.
+        """
+        if kind not in EXECUTORS:
+            raise ExecutionError(
+                f"unknown executor {kind!r}; expected one of "
+                + ", ".join(EXECUTORS))
+        sized = {} if kind == SEQUENTIAL_EXECUTOR \
+            else {"pool": workers if pool is None else pool}
         cache_obj, policy = self._cache_args(cache)
-        return FlowExecutor(
-            self.db, self.registry, user=self.user, machine=machine,
+        return EXECUTORS[kind](
+            self.db, self.registry, **sized, user=self.user,
             bus=self.bus, cache=cache_obj, cache_policy=policy,
             tracer=self.tracer, ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
-
-    def parallel_executor(self, machines: int = 2,
-                          pool: MachinePool | None = None, *,
-                          cache: str | None = None,
-                          resilience: ResiliencePolicy | None = None,
-                          faults: FaultPlan | None = None
-                          ) -> ParallelFlowExecutor:
-        cache_obj, policy = self._cache_args(cache)
-        return ParallelFlowExecutor(
-            self.db, self.registry, user=self.user, pool=pool,
-            machines=machines, bus=self.bus, cache=cache_obj,
-            cache_policy=policy, tracer=self.tracer,
-            ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
-
-    def scheduled_executor(self, machines: int = 2,
-                           pool: MachinePool | None = None,
-                           durations: DurationModel | None = None, *,
-                           cache: str | None = None,
-                           resilience: ResiliencePolicy | None = None,
-                           faults: FaultPlan | None = None
-                           ) -> ScheduledFlowExecutor:
-        cache_obj, policy = self._cache_args(cache)
-        return ScheduledFlowExecutor(
-            self.db, self.registry, user=self.user, pool=pool,
-            machines=machines, durations=durations, bus=self.bus,
-            cache=cache_obj, cache_policy=policy, tracer=self.tracer,
-            ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
-
-    def process_executor(self, workers: int = 2,
-                         durations: DurationModel | None = None, *,
-                         cache: str | None = None,
-                         batch_max: int = DEFAULT_BATCH_MAX,
-                         resilience: ResiliencePolicy | None = None,
-                         faults: FaultPlan | None = None
-                         ) -> ProcessFlowExecutor:
-        """Real multi-core execution on ``workers`` forked processes."""
-        cache_obj, policy = self._cache_args(cache)
-        return ProcessFlowExecutor(
-            self.db, self.registry, user=self.user, workers=workers,
-            batch_max=batch_max, durations=durations, bus=self.bus,
-            cache=cache_obj, cache_policy=policy, tracer=self.tracer,
-            ledger=self.ledger,
             resilience=resilience if resilience is not None
             else self.resilience,
             faults=faults if faults is not None else self.faults,

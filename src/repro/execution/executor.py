@@ -2,8 +2,8 @@
 
 Section 3.3: *"Dynamically defined flows easily allow for automatic task
 sequencing (flow automation) because tool and data dependencies are
-specified in the task schema."*  The executor walks a task graph in
-topological order, runs one tool call per coalesced
+specified in the task schema."*  The executor drains a task graph's
+invocations in dependency order, runs one tool call per coalesced
 :class:`~repro.core.taskgraph.TaskInvocation` (Fig. 5's multi-output
 subtasks), fans out over multi-instance selections (section 4.1), and
 records every created object in the history database with its derivation
@@ -15,20 +15,23 @@ its dependencies are satisfied independently of the remainder of the
 flow"*).
 
 Every executor shares one execution kernel (:class:`_ExecutionKernel`):
-one run envelope around ``execute()`` and one prepare -> call -> record
-path per invocation.  The executors differ only in where a call runs —
-inline here, on simulated machines in the parallel and scheduled
-executors, in worker processes in the process pool.
+one run envelope around ``execute()``, one ready set of invocations that
+lanes claim from, and one prepare -> call -> record path per invocation.
+The executors differ only in how many lanes drain which ready set and
+where a call runs — inline on the caller's thread here, on simulated
+machines in the parallel and scheduled executors, in worker processes in
+the process pool.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph, TaskInvocation
@@ -66,7 +69,7 @@ class InvocationResult:
     duration: float
     machine: str = "local"
     #: Time the invocation sat ready (dependencies satisfied) before a
-    #: machine picked it up — nonzero only under scheduled/parallel
+    #: machine picked it up — nonzero only under scheduled/process-pool
     #: execution, and always separate from ``duration``.
     queue_wait: float = 0.0
     #: Transient failures cured by the resilience policy before this
@@ -306,39 +309,186 @@ class _Task:
                 else self.tool_type)
 
 
-class _ExecutionKernel:
-    """What every executor shares: the wiring, the run envelope and
-    the one path an invocation takes.
+@dataclass(frozen=True)
+class _InvocationNode:
+    """An invocation plus its dependency bookkeeping."""
 
-    That path has three steps.  *Prepare* (:meth:`_prepare`,
-    :meth:`_calls`) resolves inputs, announces the invocation, checks
-    the quarantine and the cache and loads the inputs of each cold
-    call.  *Call* runs the tool wherever the dispatcher runs calls:
-    inline through :meth:`_call_tool`, or in a worker process.
-    *Record* (:meth:`_record`, :meth:`_finish`) writes history and
-    cache, and reports.  Executors differ only in how they plan a run
-    (``_plan``) and dispatch its invocations (``_dispatch_run``).
+    index: int
+    invocation: TaskInvocation
+    tool_type: str | None
+    predecessors: tuple[int, ...]
+    successors: tuple[int, ...]
+
+
+def _invocation_graph(graph: TaskGraph, needed: set[str] | None = None
+                      ) -> list[_InvocationNode]:
+    """The invocations producing ``needed`` nodes (default: all), with
+    their dependencies.
+
+    Invocations are indexed in the order a sequential walk of
+    ``graph.topological_order()`` meets them — by each one's first
+    needed output — so every predecessor has a lower index than its
+    successors, and claiming the lowest ready index replays that walk.
+    """
+    position = {node_id: i
+                for i, node_id in enumerate(graph.topological_order())}
+    ranked = sorted(
+        (min(position[o] for o in outputs), invocation)
+        for invocation in graph.invocations()
+        if (outputs := [o for o in invocation.outputs
+                        if needed is None or o in needed]))
+    invocations = [invocation for _, invocation in ranked]
+    producer_of = {output: index
+                   for index, invocation in enumerate(invocations)
+                   for output in invocation.outputs}
+    predecessors: list[set[int]] = [set() for _ in invocations]
+    successors: list[set[int]] = [set() for _ in invocations]
+    for index, invocation in enumerate(invocations):
+        sources = list(invocation.input_nodes)
+        if invocation.tool_node is not None:
+            sources.append(invocation.tool_node)
+        for node_id in sources:
+            producer = producer_of.get(node_id)
+            if producer is not None and producer != index:
+                predecessors[index].add(producer)
+                successors[producer].add(index)
+    return [_InvocationNode(
+        index, invocation,
+        (graph.node(invocation.tool_node).entity_type
+         if invocation.tool_node is not None else None),
+        tuple(sorted(predecessors[index])),
+        tuple(sorted(successors[index])))
+        for index, invocation in enumerate(invocations)]
+
+
+class _ReadySet:
+    """One invocation graph's state, shared by every lane draining it.
+
+    One graph state and interchangeable workers: lanes claim ready
+    invocations, run them wherever their dispatcher runs calls, and
+    release the successors.  Lanes claim from the front of the ready
+    list.  It stays sorted by index, so a lone lane replays the walk of
+    the topological order — unless invocations ``queued`` for a pool's
+    machines: a queue serves them in the order they became ready, which
+    keeps independent chains advancing in step across the machines.
+    """
+
+    def __init__(self, nodes: list[_InvocationNode],
+                 queued: bool = False) -> None:
+        self.nodes = nodes
+        self.queued = queued
+        self.done = 0
+        self.errors: list[BaseException] = []
+        self.condition = threading.Condition()
+        # dependency depth of each invocation: its scheduler "wave"
+        # (wave 0 runs immediately, wave n waits on some wave n-1 task);
+        # predecessors come first in index order
+        self.wave: list[int] = []
+        for node in nodes:
+            self.wave.append(1 + max(
+                (self.wave[p] for p in node.predecessors), default=-1))
+        self.pending = [len(n.predecessors) for n in nodes]
+        self.ready = [n.index for n in nodes if not n.predecessors]
+        # when each invocation became runnable, for queue-wait accounting
+        self.ready_at = dict.fromkeys(self.ready, time.perf_counter())
+
+    def claim(self, batch: Callable[[str | None, int], int] | None = None
+              ) -> list[int]:
+        """Wait for ready work and claim it; ``[]`` once the run is over.
+
+        A lane claims the invocation at the front of the ready list.
+        ``batch(tool_type, ready)`` may let it claim up to that many
+        ready invocations of the same tool type in one go.
+        """
+        with self.condition:
+            while not self.ready and self.done < len(self.nodes) \
+                    and not self.errors:
+                self.condition.wait()
+            if self.errors or self.done >= len(self.nodes):
+                return []
+            claimed = [self.ready.pop(0)]
+            if batch is None:
+                return claimed
+            tool_type = self.nodes[claimed[0]].tool_type
+            limit = batch(tool_type, len(self.ready) + 1)
+            position = 0
+            while position < len(self.ready) and len(claimed) < limit:
+                if self.nodes[self.ready[position]].tool_type == tool_type:
+                    claimed.append(self.ready.pop(position))
+                else:
+                    position += 1
+            return claimed
+
+    def release(self, claimed: list[int]) -> None:
+        """Mark claimed invocations done and ready their successors."""
+        with self.condition:
+            now = time.perf_counter()
+            for index in claimed:
+                self.done += 1
+                for successor in self.nodes[index].successors:
+                    self.pending[successor] -= 1
+                    if self.pending[successor] == 0:
+                        if self.queued:
+                            self.ready.append(successor)
+                        else:
+                            bisect.insort(self.ready, successor)
+                        self.ready_at[successor] = now
+            self.condition.notify_all()
+
+    def abort(self, error: BaseException) -> None:
+        with self.condition:
+            self.errors.append(error)
+            self.condition.notify_all()
+
+
+class _Claim(NamedTuple):
+    invocation: TaskInvocation
+    queue_wait: float
+    wave: int | None
+
+
+class _ExecutionKernel:
+    """What every executor shares: the wiring, the run envelope, the
+    ready-set driver and the one path an invocation takes.
+
+    A run plans an invocation graph (:func:`_invocation_graph`) and
+    lanes drain it through :meth:`_claim_loop`, the only code that
+    admits and dispatches invocations.  An invocation's path has three
+    steps.  *Prepare* (:meth:`_prepare`, :meth:`_calls`) resolves
+    inputs, announces the invocation, checks the quarantine and the
+    cache and loads the inputs of each cold call.  *Call* runs the tool
+    wherever the dispatcher runs calls: inline through
+    :meth:`_call_tool`, or in a worker process.  *Record*
+    (:meth:`_record`, :meth:`_finish`) writes history and cache, and
+    reports.  Executors differ only in how they plan a run (``_plan``)
+    and which lanes drain it (``_dispatch_run``).
     """
 
     #: ``executor`` label of this executor's ledger records.
     _kind = SEQUENTIAL_EXECUTOR
     #: Machine named on run-level events; lanes name their own.
     machine = ""
+    #: Whether invocations queue for a pool's machines: only then are
+    #: they served in ready order, and do results and task spans carry
+    #: a queue wait and a scheduler wave.
+    _queued = False
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str,
-                 bus: EventBus | None, cache: DerivationCache | None,
-                 cache_policy: str, tracer: Tracer | None,
-                 ledger: RunLedger | None,
-                 resilience: ResiliencePolicy | None,
-                 faults: FaultPlan | None, profiler,
-                 lock: threading.Lock | None = None) -> None:
+                 registry: EncapsulationRegistry, *, user: str = "",
+                 bus: EventBus | None = None,
+                 cache: DerivationCache | None = None,
+                 cache_policy: str = CACHE_READWRITE,
+                 tracer: Tracer | None = None,
+                 ledger: RunLedger | None = None,
+                 resilience: ResiliencePolicy | None = None,
+                 faults: FaultPlan | None = None,
+                 profiler=None) -> None:
         self.db = db
         self.registry = registry
         self.user = user
         # The lock serializes history-database access (and report
         # updates) across lanes; tool code runs outside it.
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
         # Without sinks the shared no-op bus makes every emit an early
         # return, so uninstrumented execution stays on the fast path.
         self.bus = bus if bus is not None else NO_OP_BUS
@@ -378,22 +528,16 @@ class _ExecutionKernel:
     # the run envelope
     # ------------------------------------------------------------------
     def _execute(self, flow: TaskGraph | DynamicFlow,
-                 targets: Sequence[str] | None, *, force: bool,
-                 cache: str | None) -> ExecutionReport:
+                 targets: Sequence[str] | None,
+                 force: bool) -> ExecutionReport:
         """Open, dispatch, close and record one run.
 
-        ``cache`` overrides the cache policy for this call; ``force``
-        re-runs every needed invocation.
+        Only the invocations producing ``targets``' supplier subtrees
+        (default: the whole flow) are planned; ``force`` re-runs every
+        one of them.
         """
         graph = flow.graph if isinstance(flow, DynamicFlow) else flow
         graph.validate()
-        if cache is not None:
-            if self.cache is None and normalize_policy(cache) != CACHE_OFF:
-                raise ExecutionError(
-                    f"cache policy {cache!r} requires a DerivationCache; "
-                    "construct the executor with cache=... (or use "
-                    "DesignEnvironment.run)")
-            self.cache_policy = normalize_policy(cache)
         run = _Run(graph, targets, self._needed_nodes(graph, targets),
                    force, ExecutionReport(graph.name))
         details = self._plan(run)
@@ -503,30 +647,72 @@ class _ExecutionKernel:
         return self.resilience is not None and self.resilience.degrade
 
     # ------------------------------------------------------------------
-    # routing: the sequential walk, admission and failures
+    # routing: the ready-set driver, admission and failures
     # ------------------------------------------------------------------
-    def _walk(self, run: _Run, nodes: set[str], machine: str) -> int:
-        """Run the invocations producing ``nodes`` in topological order.
+    def _drive(self, run: _Run,
+               lanes: list[Callable[[_ReadySet], Any]]) -> None:
+        """Drain the run's invocation graph with ``lanes`` over one
+        ready set — a lone lane inline on the caller's thread, more on
+        a thread each — then re-raise the first error any lane hit."""
+        state = _ReadySet(run.plan, self._queued)
+        if len(lanes) == 1:
+            lanes[0](state)
+        else:
+            threads = [threading.Thread(target=lane, args=(state,))
+                       for lane in lanes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        if state.errors:
+            raise state.errors[0]
 
-        Returns how many invocations executed a tool or composition.
+    def _claim_loop(self, run: _Run, state: _ReadySet, machine: str,
+                    dispatch: Callable[[list[_Claim]], int] | None = None,
+                    batch: Callable[[str | None, int], int] | None = None
+                    ) -> int:
+        """One lane: claim, admit, dispatch and release until the run is
+        over.  Returns how many invocations the lane executed.
+
+        ``dispatch`` defaults to running each claim inline.  An
+        invocation that failed under graceful degradation is still
+        released: its successors must be skipped as upstream failures,
+        or the other lanes would wait for them forever.
         """
-        graph = run.graph
-        invocation_of: dict[str, TaskInvocation] = {}
-        for invocation in graph.invocations():
-            for output in invocation.outputs:
-                invocation_of[output] = invocation
-        seen: set[int] = set()
+        if dispatch is None:
+            dispatch = functools.partial(self._run_claims, run, machine)
         executed = 0
-        for node_id in graph.topological_order():
-            invocation = invocation_of.get(node_id)
-            if node_id not in nodes or invocation is None \
-                    or id(invocation) in seen:
-                continue  # not needed, leaf (bound) node, or coalesced
-            seen.add(id(invocation))
-            if self._admit(run, invocation, machine):
-                executed += self._invoke(run, invocation,
-                                         machine) is not None
-        return executed
+        while True:
+            claimed = state.claim(batch)
+            if not claimed:
+                return executed
+            # The wait ends when dispatch starts, measured after the
+            # claim lock is released: contention for the lock counts as
+            # waiting, it is not hidden inside it.
+            dispatch_at = time.perf_counter()
+            claims = []
+            for index in claimed:
+                invocation = state.nodes[index].invocation
+                if not self._admit(run, invocation, machine):
+                    continue
+                claims.append(_Claim(
+                    invocation,
+                    max(0.0, dispatch_at - state.ready_at[index]),
+                    state.wave[index]) if state.queued
+                    else _Claim(invocation, 0.0, None))
+            try:
+                executed += dispatch(claims)
+            except BaseException as error:
+                state.abort(error)
+                return executed
+            state.release(claimed)
+
+    def _run_claims(self, run: _Run, machine: str,
+                    claims: list[_Claim]) -> int:
+        """Inline dispatch: run each claimed invocation on this thread."""
+        return sum(self._invoke(run, claim.invocation, machine,
+                                claim.queue_wait, claim.wave) is not None
+                   for claim in claims)
 
     def _admit(self, run: _Run, invocation: TaskInvocation,
                machine: str) -> bool:
@@ -949,38 +1135,20 @@ class _ExecutionKernel:
 
 
 class FlowExecutor(_ExecutionKernel):
-    """Executes dynamically defined flows against a history database."""
+    """Executes dynamically defined flows against a history database:
+    one lane, drained inline on the caller's thread."""
 
-    def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 machine: str = "local",
-                 lock: threading.Lock | None = None,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_READWRITE,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
-        super().__init__(db, registry, user=user, bus=bus, cache=cache,
-                         cache_policy=cache_policy, tracer=tracer,
-                         ledger=ledger, resilience=resilience,
-                         faults=faults, profiler=profiler, lock=lock)
-        self.machine = machine
+    machine = "local"
 
     def execute(self, flow: TaskGraph | DynamicFlow,
                 targets: Sequence[str] | None = None, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
+                force: bool = False) -> ExecutionReport:
         """Run a flow (or the sub-flow reaching ``targets``).
 
         Already-executed nodes (with ``produced`` results) and bound
         nodes are reused unless ``force`` re-runs every invocation.
-        ``cache`` overrides the executor's cache policy for this call
-        (``"off"`` / ``"reuse"`` / ``"readwrite"``).
         """
-        return self._execute(flow, targets, force=force, cache=cache)
+        return self._execute(flow, targets, force)
 
     def execute_node(self, flow: TaskGraph | DynamicFlow,
                      node_id: str, *, force: bool = False
@@ -989,11 +1157,13 @@ class FlowExecutor(_ExecutionKernel):
         return self.execute(flow, targets=[node_id], force=force)
 
     def _plan(self, run: _Run) -> dict[str, Any]:
+        run.plan = _invocation_graph(run.graph, run.needed)
         return {"machine": self.machine, "nodes": len(run.needed),
                 "targets": sorted(run.targets or ()), "force": run.force}
 
     def _dispatch_run(self, run: _Run) -> None:
-        self._walk(run, run.needed, self.machine)
+        self._drive(run, [functools.partial(
+            self._claim_loop, run, machine=self.machine)])
 
 
 def _tool_type(graph: TaskGraph, invocation: TaskInvocation) -> str:

@@ -6,8 +6,9 @@ possibly on different machines."*
 
 The 1993 machine farm is simulated by a :class:`MachinePool`; each weakly
 connected component of the task graph (a *branch*) is claimed by one
-machine and walked on its own thread by the execution kernel's
-sequential graph walk.  All lanes share one lock around the history
+machine, whose lane drains the branch's own ready set on its own thread
+through the execution kernel's claim loop.  All lanes share one lock
+around the history
 database, so derivation records stay consistent while tool code (the
 slow part — external processes in the paper's world, here Python
 callables that may block or sleep) runs concurrently.
@@ -25,13 +26,10 @@ from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
-from ..obs import (LANE_ASSIGNED, PARALLEL_EXECUTOR, WAVE_SPAN, EventBus,
-                   RunLedger, Tracer)
-from .cache import CACHE_OFF, DerivationCache
+from ..obs import LANE_ASSIGNED, PARALLEL_EXECUTOR, WAVE_SPAN
 from .encapsulation import EncapsulationRegistry
-from .executor import ExecutionReport, _ExecutionKernel, _Run
-from .faults import FaultPlan
-from .resilience import ResiliencePolicy
+from .executor import (ExecutionReport, _ExecutionKernel, _invocation_graph,
+                       _ReadySet, _Run)
 
 
 @dataclass
@@ -100,27 +98,20 @@ def plan_branches(graph: TaskGraph,
 
 
 class ParallelFlowExecutor(_ExecutionKernel):
-    """Executes disjoint branches of a flow concurrently."""
+    """Executes disjoint branches of a flow concurrently.
+
+    ``pool`` is a :class:`MachinePool` or the number of local machines
+    to simulate.
+    """
 
     _kind = PARALLEL_EXECUTOR
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 pool: MachinePool | None = None,
-                 machines: int = 2,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_OFF,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
-        super().__init__(db, registry, user=user, bus=bus, cache=cache,
-                         cache_policy=cache_policy, tracer=tracer,
-                         ledger=ledger, resilience=resilience,
-                         faults=faults, profiler=profiler)
-        self.pool = pool if pool is not None else MachinePool.local(machines)
+                 registry: EncapsulationRegistry, *,
+                 pool: MachinePool | int = 2, **wiring: Any) -> None:
+        super().__init__(db, registry, **wiring)
+        self.pool = pool if isinstance(pool, MachinePool) \
+            else MachinePool.local(pool)
 
     @property
     def _pool_size(self) -> int:
@@ -128,10 +119,9 @@ class ParallelFlowExecutor(_ExecutionKernel):
 
     def execute(self, flow: TaskGraph | DynamicFlow,
                 targets: Sequence[str] | None = None, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
+                force: bool = False) -> ExecutionReport:
         """Run every (selected) branch, one machine per branch."""
-        return self._execute(flow, targets, force=force, cache=cache)
+        return self._execute(flow, targets, force)
 
     def _plan(self, run: _Run) -> dict[str, Any]:
         run.plan = plan_branches(run.graph, run.targets)
@@ -158,8 +148,11 @@ class ParallelFlowExecutor(_ExecutionKernel):
                                     "machine": machine.name,
                                     "branch": sorted(branch),
                                     "queue_wait": round(queue_wait, 6)}):
-                    executed = self._walk(run, run.needed & branch,
-                                          machine.name)
+                    state = _ReadySet(_invocation_graph(
+                        run.graph, run.needed & branch))
+                    executed = self._claim_loop(run, state, machine.name)
+                    if state.errors:
+                        raise state.errors[0]
                 machine.executed_branches += 1
                 machine.executed_invocations += executed
             except BaseException as exc:  # re-raised on the caller thread

@@ -14,8 +14,9 @@ dispatches the scheduler's ready set to a pool of real
   fingerprint + resolved input payloads, re-resolved against the
   (fork-inherited) tool registry inside the worker;
 * ready invocations of one tool type are **batched** onto one worker
-  round-trip (``batch_max``), and every lane **steals** from the one
-  global ready deque, so an idle worker drains whatever is runnable;
+  round-trip (up to ``DEFAULT_BATCH_MAX``), and every lane **steals**
+  from the one global ready set, so an idle worker drains whatever is
+  runnable;
 * the resilience layer survives the thread→process move: a watchdog
   timeout *kills and respawns the worker process* (something the
   thread watchdog could never do), retries re-enqueue the envelope
@@ -41,7 +42,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph
@@ -51,19 +52,16 @@ from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, PHASE_DECODE, PHASE_ENCODE, PHASE_SPAN,
                    PHASE_TOOL, PHASE_VERIFY, PROCESS_EXECUTOR,
                    TOOL_QUARANTINED, TOOL_RETRIED, TOOL_TIMED_OUT,
-                   WAVE_SPAN, WORKER_STATS, ClockSync, EventBus,
-                   RunLedger, SamplingProfiler, Span, Tracer,
-                   WorkerRunStats, WorkerTelemetry, fit_phases,
+                   WAVE_SPAN, WORKER_STATS, ClockSync, SamplingProfiler,
+                   Span, WorkerRunStats, WorkerTelemetry, fit_phases,
                    merge_profiles, worker_utilization)
-from .cache import CACHE_OFF, DerivationCache
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
-from .executor import (ExecutionReport, InvocationResult, _Call, _Run,
-                       _Task, _derivation_inputs)
-from .faults import FaultPlan, FaultSpec, run_with_fault
-from .resilience import TRANSIENT, ResiliencePolicy, annotate_error
-from .scheduler import (DurationModel, _Claim, _invocation_graph,
-                        _ReadySet, _ReadySetExecutor)
+from .executor import (ExecutionReport, InvocationResult, _Call, _Claim,
+                       _ExecutionKernel, _invocation_graph, _ReadySet,
+                       _Run, _Task, _derivation_inputs)
+from .faults import FaultSpec, run_with_fault
+from .resilience import TRANSIENT, annotate_error
 
 DEFAULT_BATCH_MAX = 4
 
@@ -510,38 +508,26 @@ class _Unit:
     window: tuple[float, float] | None = None
 
 
-class ProcessFlowExecutor(_ReadySetExecutor):
-    """Executes one flow on a pool of real worker processes.
+class ProcessFlowExecutor(_ExecutionKernel):
+    """Executes one flow on a pool of ``pool`` real worker processes.
 
-    The coordinator runs the ready-set driver the invocation-level
-    scheduler uses: one lane thread per worker process claims ready
-    invocations from the shared ready set (work-stealing), batches
-    same-tool-type claims onto one round trip, and records all results
-    into the (single-process) history database.  Requires the ``fork``
-    start method — the tool registry holds closures only a forked child
-    can inherit.
+    The coordinator runs the kernel's ready-set driver: one lane thread
+    per worker process claims ready invocations from the shared ready
+    set (work-stealing), batches same-tool-type claims onto one round
+    trip, and records all results into the (single-process) history
+    database.  Requires the ``fork`` start method — the tool registry
+    holds closures only a forked child can inherit.
     """
 
     _kind = PROCESS_EXECUTOR
+    _queued = True
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 workers: int = 2, batch_max: int = DEFAULT_BATCH_MAX,
-                 durations: DurationModel | None = None,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_OFF,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
-        if workers < 1:
+                 registry: EncapsulationRegistry, *, pool: int = 2,
+                 **wiring: Any) -> None:
+        if not isinstance(pool, int) or pool < 1:
             raise ExecutionError(
-                f"need at least one worker process, got {workers}")
-        if batch_max < 1:
-            raise ExecutionError(
-                f"batch_max must be >= 1, got {batch_max}")
+                f"need a worker process count >= 1, got {pool!r}")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "the procpool executor requires the 'fork' start "
@@ -549,16 +535,8 @@ class ProcessFlowExecutor(_ReadySetExecutor):
                 "cannot be pickled to a spawned worker); this "
                 "platform offers only: "
                 + ", ".join(multiprocessing.get_all_start_methods()))
-        super().__init__(db, registry, user=user,
-                         bus=bus if bus is not None else EventBus(),
-                         cache=cache, cache_policy=cache_policy,
-                         tracer=tracer, ledger=ledger,
-                         resilience=resilience, faults=faults,
-                         profiler=profiler)
-        self.workers = workers
-        self.batch_max = batch_max
-        self.durations = durations if durations is not None \
-            else DurationModel()
+        super().__init__(db, registry, **wiring)
+        self.workers = pool
         # Coordinator-side profiling aggregate: workers run their own
         # in-process samplers (a coordinator thread cannot see worker
         # stacks) and ship cumulative payloads back on every batch
@@ -586,13 +564,14 @@ class ProcessFlowExecutor(_ReadySetExecutor):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def execute(self, flow: TaskGraph | DynamicFlow, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
-        return self._execute_learning(flow, force, cache)
+    def execute(self, flow: TaskGraph | DynamicFlow,
+                targets: Sequence[str] | None = None, *,
+                force: bool = False) -> ExecutionReport:
+        """Run a flow (or the sub-flow reaching ``targets``)."""
+        return self._execute(flow, targets, force)
 
     def _plan(self, run: _Run) -> dict[str, Any]:
-        run.plan = _invocation_graph(run.graph, self.durations)
+        run.plan = _invocation_graph(run.graph, run.needed)
         return {"scheduler": "procpool", "workers": self.workers,
                 "invocations": len(run.plan)}
 
@@ -712,7 +691,7 @@ class ProcessFlowExecutor(_ReadySetExecutor):
         if self.resilience is not None and self.resilience.rule_for(
                 tool_type or COMPOSE_TOOL).timeout is not None:
             return 1
-        return min(self.batch_max, max(1, -(-ready // self.workers)))
+        return min(DEFAULT_BATCH_MAX, max(1, -(-ready // self.workers)))
 
     def _run_batch(self, run: _Run, handle: _WorkerHandle,
                    claims: list[_Claim]) -> int:

@@ -8,9 +8,9 @@ invocation whose inputs are ready may run, so a diamond-shaped flow
 
 Three pieces:
 
-* :class:`DurationModel` — expected tool run times learned from executed
-  reports (the history's time-stamps are the paper's meta-data; the
-  durations come from execution reports);
+* :class:`DurationModel` — expected tool run times learned from
+  execution events (the history's time-stamps are the paper's
+  meta-data; the durations come from ``tool_finished`` events);
 * :func:`plan_schedule` — critical-path list scheduling of a flow's
   invocations onto M machines, yielding a predicted makespan;
 * :class:`ScheduledFlowExecutor` — executes a flow with invocation-level
@@ -20,26 +20,20 @@ Three pieces:
 
 from __future__ import annotations
 
-import functools
-import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Sequence
 
 from ..core.flow import DynamicFlow
-from ..core.taskgraph import TaskGraph, TaskInvocation
+from ..core.taskgraph import TaskGraph
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, SCHEDULED_EXECUTOR,
-                   TOOL_FINISHED, WAVE_SPAN, Event, EventBus, RunLedger,
-                   Tracer)
-from .cache import CACHE_OFF, DerivationCache
+                   TOOL_FINISHED, WAVE_SPAN, Event)
 from .encapsulation import EncapsulationRegistry
 from .executor import (ExecutionReport, InvocationResult,
-                       _ExecutionKernel, _Run)
-from .faults import FaultPlan
+                       _ExecutionKernel, _invocation_graph,
+                       _InvocationNode, _ReadySet, _Run)
 from .parallel import MachinePool
-from .resilience import ResiliencePolicy
 
 DEFAULT_DURATION = 1.0
 
@@ -87,18 +81,6 @@ class DurationModel:
 
 
 @dataclass(frozen=True)
-class _InvocationNode:
-    """An invocation plus its dependency bookkeeping."""
-
-    index: int
-    invocation: TaskInvocation
-    tool_type: str | None
-    predecessors: tuple[int, ...]
-    successors: tuple[int, ...]
-    duration: float
-
-
-@dataclass(frozen=True)
 class ScheduleEntry:
     """One invocation's planned slot."""
 
@@ -138,59 +120,14 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _invocation_graph(graph: TaskGraph,
-                      durations: DurationModel) -> list[_InvocationNode]:
-    invocations = graph.invocations()
-    producer_of: dict[str, int] = {}
-    for index, invocation in enumerate(invocations):
-        for output in invocation.outputs:
-            producer_of[output] = index
-    predecessors: list[set[int]] = [set() for _ in invocations]
-    for index, invocation in enumerate(invocations):
-        sources = list(invocation.input_nodes)
-        if invocation.tool_node is not None:
-            sources.append(invocation.tool_node)
-        for node_id in sources:
-            producer = producer_of.get(node_id)
-            if producer is not None and producer != index:
-                predecessors[index].add(producer)
-    successors: list[set[int]] = [set() for _ in invocations]
-    for index, preds in enumerate(predecessors):
-        for pred in preds:
-            successors[pred].add(index)
-    nodes = []
-    for index, invocation in enumerate(invocations):
-        tool_type = (graph.node(invocation.tool_node).entity_type
-                     if invocation.tool_node is not None else None)
-        nodes.append(_InvocationNode(
-            index, invocation, tool_type,
-            tuple(sorted(predecessors[index])),
-            tuple(sorted(successors[index])),
-            durations.estimate(tool_type)))
-    return nodes
-
-
-def _critical_lengths(nodes: list[_InvocationNode]) -> list[float]:
+def _critical_lengths(nodes: list[_InvocationNode],
+                      duration: list[float]) -> list[float]:
     """Longest path from each invocation to any sink (its priority)."""
     length = [0.0] * len(nodes)
-    # process in reverse topological order: repeat-until-stable is fine
-    # for the small graphs flows produce, but we do it properly:
-    indegree_out = [len(n.successors) for n in nodes]
-    stack = [n.index for n in nodes if not n.successors]
-    order: list[int] = []
-    remaining = list(indegree_out)
-    while stack:
-        current = stack.pop()
-        order.append(current)
-        for pred in nodes[current].predecessors:
-            remaining[pred] -= 1
-            if remaining[pred] == 0:
-                stack.append(pred)
-    for index in order:
-        node = nodes[index]
-        best_successor = max((length[s] for s in node.successors),
-                             default=0.0)
-        length[index] = node.duration + best_successor
+    # successors have higher indices: one reverse sweep settles them all
+    for node in reversed(nodes):
+        length[node.index] = duration[node.index] + max(
+            (length[s] for s in node.successors), default=0.0)
     return length
 
 
@@ -201,8 +138,9 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
     if machines < 1:
         raise ExecutionError("need at least one machine")
     durations = durations if durations is not None else DurationModel()
-    nodes = _invocation_graph(graph, durations)
-    priority = _critical_lengths(nodes)
+    nodes = _invocation_graph(graph)
+    duration = [durations.estimate(n.tool_type) for n in nodes]
+    priority = _critical_lengths(nodes, duration)
     pending = {n.index: len(n.predecessors) for n in nodes}
     ready = sorted((n.index for n in nodes if not n.predecessors),
                    key=lambda i: -priority[i])
@@ -217,7 +155,7 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
         machine = min(machine_free,
                       key=lambda m: (max(machine_free[m], earliest), m))
         start = max(machine_free[machine], earliest)
-        end = start + node.duration
+        end = start + duration[index]
         machine_free[machine] = end
         finish_time[index] = end
         entries.append(ScheduleEntry(node.invocation.outputs,
@@ -232,219 +170,45 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
                     position += 1
                 ready.insert(position, successor)
     makespan = max((e.end for e in entries), default=0.0)
-    serial = sum(n.duration for n in nodes)
+    serial = sum(duration)
     critical = max(priority, default=0.0)
     return Schedule(tuple(entries), makespan, machines, serial, critical)
 
 
-class _ReadySet:
-    """One run's invocation graph state, shared by every lane.
+class ScheduledFlowExecutor(_ExecutionKernel):
+    """Executes one flow with invocation-level parallelism.
 
-    One graph state and interchangeable workers: lanes claim ready
-    invocations, run them wherever their dispatcher runs calls, and
-    release the successors.
+    ``pool`` is a :class:`MachinePool` or the number of local machines
+    to simulate; each machine runs one lane over the flow's one ready
+    set.
     """
-
-    def __init__(self, nodes: list[_InvocationNode]) -> None:
-        self.nodes = nodes
-        self.done = 0
-        self.errors: list[BaseException] = []
-        self.condition = threading.Condition()
-        # dependency depth of each invocation: its scheduler "wave"
-        # (wave 0 runs immediately, wave n waits on some wave n-1 task)
-        self.wave: dict[int, int] = {}
-        for node in nodes:
-            chain = [node.index]
-            while chain:
-                index = chain[-1]
-                missing = [p for p in nodes[index].predecessors
-                           if p not in self.wave]
-                if missing:
-                    chain.extend(missing)
-                    continue
-                chain.pop()
-                self.wave[index] = 1 + max(
-                    (self.wave[p] for p in nodes[index].predecessors),
-                    default=-1)
-        self.pending = {n.index: len(n.predecessors) for n in nodes}
-        self.ready = [n.index for n in nodes if not n.predecessors]
-        # when each invocation became runnable, for queue-wait accounting
-        self.ready_at = dict.fromkeys(self.ready, time.perf_counter())
-
-    def claim(self, batch: Callable[[str | None, int], int] | None = None
-              ) -> list[int]:
-        """Wait for ready work and claim it; ``[]`` once the run is over.
-
-        A lane claims the oldest ready invocation.  ``batch(tool_type,
-        ready)`` may let it claim up to that many ready invocations of
-        the same tool type in one go.
-        """
-        with self.condition:
-            while not self.ready and self.done < len(self.nodes) \
-                    and not self.errors:
-                self.condition.wait()
-            if self.errors or self.done >= len(self.nodes):
-                return []
-            claimed = [self.ready.pop(0)]
-            if batch is None:
-                return claimed
-            tool_type = self.nodes[claimed[0]].tool_type
-            limit = batch(tool_type, len(self.ready) + 1)
-            position = 0
-            while position < len(self.ready) and len(claimed) < limit:
-                if self.nodes[self.ready[position]].tool_type == tool_type:
-                    claimed.append(self.ready.pop(position))
-                else:
-                    position += 1
-            return claimed
-
-    def release(self, claimed: list[int]) -> None:
-        """Mark claimed invocations done and ready their successors."""
-        with self.condition:
-            now = time.perf_counter()
-            for index in claimed:
-                self.done += 1
-                for successor in self.nodes[index].successors:
-                    self.pending[successor] -= 1
-                    if self.pending[successor] == 0:
-                        self.ready.append(successor)
-                        self.ready_at[successor] = now
-            self.condition.notify_all()
-
-    def abort(self, error: BaseException) -> None:
-        with self.condition:
-            self.errors.append(error)
-            self.condition.notify_all()
-
-
-class _Claim(NamedTuple):
-    invocation: TaskInvocation
-    queue_wait: float
-    wave: int
-
-
-class _ReadySetExecutor(_ExecutionKernel):
-    """The ready-set driver the thread and process tiers share.
-
-    Both plan the flow's invocation graph and run one lane per machine
-    (or worker) over one shared :class:`_ReadySet`; they differ in what
-    a lane claims at a time and where it runs the calls.
-    """
-
-    durations: DurationModel
-
-    def _execute_learning(self, flow: TaskGraph | DynamicFlow,
-                          force: bool,
-                          cache: str | None) -> ExecutionReport:
-        """The run envelope, with the duration model learning from this
-        run's ``tool_finished`` / ``composition_run`` events.
-
-        The model listens only while the run lasts: a subscription for
-        good would keep the shared bus enabled and make every later
-        run, on any executor, pay for events.
-        """
-        self.bus.subscribe(self.durations)
-        try:
-            return self._execute(flow, None, force=force, cache=cache)
-        finally:
-            self.bus.unsubscribe(self.durations)
-
-    def _drive(self, run: _Run,
-               lanes: list[Callable[[_ReadySet], None]]) -> None:
-        """Run each lane on its own thread over one ready set; once all
-        stopped, re-raise the first error any of them hit."""
-        state = _ReadySet(run.plan)
-        threads = [threading.Thread(target=lane, args=(state,))
-                   for lane in lanes]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if state.errors:
-            raise state.errors[0]
-
-    def _claim_loop(self, run: _Run, state: _ReadySet, machine: str,
-                    dispatch: Callable[[list[_Claim]], int],
-                    batch: Callable[[str | None, int], int] | None = None
-                    ) -> int:
-        """One lane: claim, admit, dispatch and release until the run is
-        over.  Returns how many invocations the lane executed.
-
-        An invocation that failed under graceful degradation is still
-        released: its successors must be skipped as upstream failures,
-        or the other lanes would wait for them forever.
-        """
-        executed = 0
-        while True:
-            claimed = state.claim(batch)
-            if not claimed:
-                return executed
-            # The wait ends when dispatch starts, measured after the
-            # claim lock is released: contention for the lock counts as
-            # waiting, it is not hidden inside it.
-            dispatch_at = time.perf_counter()
-            claims = []
-            for index in claimed:
-                invocation = state.nodes[index].invocation
-                if self._admit(run, invocation, machine):
-                    claims.append(_Claim(
-                        invocation,
-                        max(0.0, dispatch_at - state.ready_at[index]),
-                        state.wave[index]))
-            try:
-                executed += dispatch(claims)
-            except BaseException as error:
-                state.abort(error)
-                return executed
-            state.release(claimed)
-
-
-class ScheduledFlowExecutor(_ReadySetExecutor):
-    """Executes one flow with invocation-level parallelism."""
 
     _kind = SCHEDULED_EXECUTOR
+    _queued = True
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 pool: MachinePool | None = None, machines: int = 2,
-                 durations: DurationModel | None = None,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_OFF,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
-        # the duration model listens on this bus while a run lasts
-        super().__init__(db, registry, user=user,
-                         bus=bus if bus is not None else EventBus(),
-                         cache=cache, cache_policy=cache_policy,
-                         tracer=tracer, ledger=ledger,
-                         resilience=resilience, faults=faults,
-                         profiler=profiler)
-        self.pool = pool if pool is not None else MachinePool.local(machines)
-        self.durations = durations if durations is not None \
-            else DurationModel()
+                 registry: EncapsulationRegistry, *,
+                 pool: MachinePool | int = 2, **wiring: Any) -> None:
+        super().__init__(db, registry, **wiring)
+        self.pool = pool if isinstance(pool, MachinePool) \
+            else MachinePool.local(pool)
 
     @property
     def _pool_size(self) -> int:
         return len(self.pool)
 
-    def execute(self, flow: TaskGraph | DynamicFlow, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
-        return self._execute_learning(flow, force, cache)
+    def execute(self, flow: TaskGraph | DynamicFlow,
+                targets: Sequence[str] | None = None, *,
+                force: bool = False) -> ExecutionReport:
+        """Run a flow (or the sub-flow reaching ``targets``)."""
+        return self._execute(flow, targets, force)
 
     def _plan(self, run: _Run) -> dict[str, Any]:
-        run.plan = _invocation_graph(run.graph, self.durations)
+        run.plan = _invocation_graph(run.graph, run.needed)
         return {"scheduler": "invocation-level",
                 "machines": len(self.pool), "invocations": len(run.plan)}
 
     def _dispatch_run(self, run: _Run) -> None:
-        if not run.plan:
-            return
-
         def lane(state: _ReadySet) -> None:
             machine = self.pool.acquire()
             try:
@@ -452,20 +216,11 @@ class ScheduledFlowExecutor(_ReadySetExecutor):
                         f"lane:{machine.name}", WAVE_SPAN,
                         attributes={"flow": run.graph.name,
                                     "machine": machine.name}) as span:
-                    executed = self._claim_loop(
-                        run, state, machine.name,
-                        functools.partial(self._run_claims, run,
-                                          machine.name))
+                    executed = self._claim_loop(run, state, machine.name)
                     span.set(invocations=executed)
                 machine.executed_invocations += executed
             finally:
                 self.pool.release(machine)
 
-        self._drive(run, [lane] * len(self.pool))
-
-    def _run_claims(self, run: _Run, machine: str,
-                    claims: list[_Claim]) -> int:
-        """Thread dispatch: run each claimed invocation inline."""
-        return sum(self._invoke(run, claim.invocation, machine,
-                                claim.queue_wait, claim.wave) is not None
-                   for claim in claims)
+        if run.plan:
+            self._drive(run, [lane] * len(self.pool))

@@ -35,27 +35,22 @@ def no_sleep(delay: float) -> None:
 
 
 def run_scenario(spec: ScenarioSpec, directory, *, executor: str,
-                 backend: str):
+                 backend: str, targets: tuple[str, ...] | None = None):
     """Materialize, persist, reload and execute one scenario.
 
     Round-trips through the requested history backend before running,
     so the differential covers persistence (schema reload, salt-based
-    tool re-registration) as well as execution.
+    tool re-registration) as well as execution.  ``targets`` names
+    entity types whose sub-flow alone runs.
     """
     env = materialize_scenario(spec)
     save_environment(env, directory, backend=backend)
     env = load_environment(directory)
     register_corpus_encapsulations(env)
     flow = env.flow_catalog.select(MAIN_FLOW)
-    if executor == "parallel":
-        runner = env.parallel_executor(machines=2)
-    elif executor == "scheduled":
-        runner = env.scheduled_executor(machines=2)
-    elif executor == "procpool":
-        runner = env.process_executor(workers=2)
-    else:
-        runner = env.executor()
-    report = runner.execute(flow)
+    if targets is not None:
+        targets = [flow.sole_node_of_type(t).node_id for t in targets]
+    report = env.executor(executor, workers=2).execute(flow, targets)
     save_environment(env, directory)
     return report, history_signature(load_environment(directory))
 
@@ -93,6 +88,31 @@ class TestFixedSeedMatrix:
                            len(report.reused), len(report.skipped),
                            len(report.failures)))
         assert len(portraits) == 1
+
+    #: One strict sub-flow per shape of the (2 wide, 2 deep, fan-out 2)
+    #: corpus: a lone output, stage, branch tip, fork and lane.
+    SUBFLOW_TARGETS = {"independent": ("Out0",), "chain": ("Stage1",),
+                       "diamond": ("A2",), "fork_join": ("Fork0",),
+                       "pipeline": ("Lane0S2",)}
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_subflow_targets_match_sequential(self, tmp_path, executor):
+        """A sub-flow run (``targets``) lands on the same history and
+        run count on every executor, and runs less than the flow."""
+        for spec, entry in zip(scenario_specs(self.MANIFEST),
+                               self.MANIFEST["scenarios"]):
+            targets = self.SUBFLOW_TARGETS[spec.shape]
+            outcomes = []
+            for kind in ("sequential", executor):
+                report, signature = run_scenario(
+                    spec, tmp_path / kind / spec.scenario_id,
+                    executor=kind, backend="json", targets=targets)
+                assert not report.failures
+                assert report.runs < entry["expected"]["runs"], \
+                    (spec.scenario_id, kind)
+                outcomes.append((report.runs,
+                                 signature_digest(signature)))
+            assert outcomes[0] == outcomes[1], (spec.scenario_id, executor)
 
 
 @given(seed=st.integers(0, 99999),
@@ -159,13 +179,7 @@ TELEMETRY_SPEC = ScenarioSpec("t-diamond", "diamond", 5, 2, 2, 2)
 
 
 def _executor_for(env, executor: str, cache: str):
-    if executor == "parallel":
-        return env.parallel_executor(machines=2, cache=cache)
-    if executor == "scheduled":
-        return env.scheduled_executor(machines=2, cache=cache)
-    if executor == "procpool":
-        return env.process_executor(workers=2, cache=cache)
-    return env.executor(cache=cache)
+    return env.executor(executor, workers=2, cache=cache)
 
 
 def _telemetry(executor: str, cache: str):
@@ -216,3 +230,18 @@ def test_one_flow_started_and_finished_per_run(executor):
     kinds, _, _ = _telemetry(executor, "readwrite")
     assert kinds["flow_started"] == 1
     assert kinds["flow_finished"] == 1
+
+
+def test_sequential_lane_replays_the_topological_walk():
+    """The sequential executor's one lane claims invocations in the
+    order a walk of the flow's topological order meets them, on a
+    branching shape where a first-ready-first-run queue would not."""
+    from repro.obs import TOOL_INVOKED, RingBufferSink
+
+    env = materialize_scenario(TELEMETRY_SPEC)
+    flow = env.flow_catalog.select(MAIN_FLOW)
+    events = env.bus.subscribe(RingBufferSink(8192))
+    env.executor().execute(flow)
+    walk = [node_id for node_id in flow.graph.topological_order()
+            if flow.graph.suppliers(node_id)]
+    assert [e.node for e in events.events(TOOL_INVOKED)] == walk

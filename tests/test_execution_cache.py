@@ -7,8 +7,9 @@ import pytest
 from repro.errors import ExecutionError
 from repro.execution import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                              DerivationCache, DesignEnvironment,
-                             encapsulation, fingerprint_callable,
-                             normalize_policy)
+                             DurationModel, encapsulation,
+                             fingerprint_callable, normalize_policy)
+from repro.obs import PARALLEL_EXECUTOR, SCHEDULED_EXECUTOR
 from repro.persistence import (CACHE_FILE, load_environment,
                                save_environment)
 from repro.schema import standard as S
@@ -58,12 +59,6 @@ class TestPolicies:
         assert normalize_policy("readwrite") == CACHE_READWRITE
         with pytest.raises(ExecutionError):
             normalize_policy("sometimes")
-
-    def test_policy_without_cache_rejected(self, counting_env):
-        flow, _ = simulate_flow(counting_env)
-        executor = counting_env.executor()
-        with pytest.raises(ExecutionError):
-            executor.execute(flow, cache="reuse")
 
     def test_off_policy_is_inert(self, counting_env):
         """cache=off must behave byte-identically to no cache at all."""
@@ -140,8 +135,8 @@ class TestOtherExecutors:
     def test_parallel_executor_reuses(self, counting_env):
         cold, flow2 = self.warm_pair(counting_env)
         calls = len(counting_env.calls)
-        executor = counting_env.parallel_executor(machines=2,
-                                                  cache="reuse")
+        executor = counting_env.executor(PARALLEL_EXECUTOR, workers=2,
+                                         cache="reuse")
         warm = executor.execute(flow2)
         assert len(counting_env.calls) == calls
         assert warm.cache_hits == 2
@@ -150,14 +145,14 @@ class TestOtherExecutors:
     def test_scheduled_executor_reuses(self, counting_env):
         cold, flow2 = self.warm_pair(counting_env)
         calls = len(counting_env.calls)
-        executor = counting_env.scheduled_executor(machines=2,
-                                                   cache="reuse")
-        warm = executor.execute(flow2)
+        model = counting_env.bus.subscribe(DurationModel())
+        warm = counting_env.executor(SCHEDULED_EXECUTOR, workers=2,
+                                     cache="reuse").execute(flow2)
         assert len(counting_env.calls) == calls
         assert warm.cache_hits == 2
         assert sorted(warm.reused) == sorted(cold.created)
         # zero-cost hits: the duration model never saw the cached runs
-        assert executor.durations.observed_types() == ()
+        assert model.observed_types() == ()
 
 
 class TestInvalidation:

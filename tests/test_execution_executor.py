@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import (EncapsulationError, ExecutionError)
-from repro.execution import (DesignEnvironment, EncapsulationRegistry,
-                             encapsulation)
+from repro.execution import (DesignEnvironment, DurationModel,
+                             EncapsulationRegistry, encapsulation)
+from repro.obs import (PARALLEL_EXECUTOR, PROCESS_EXECUTOR,
+                       SCHEDULED_EXECUTOR, SEQUENTIAL_EXECUTOR)
 from repro.schema import standard as S
 
 
@@ -296,28 +298,34 @@ class TestRunEnvelope:
     """What every executor's run envelope guarantees, whatever the
     dispatcher: one ledger record per call and a bus left as found."""
 
-    FACTORIES = ("executor", "parallel_executor", "scheduled_executor",
-                 "process_executor")
+    FACTORIES = (SEQUENTIAL_EXECUTOR, PARALLEL_EXECUTOR, SCHEDULED_EXECUTOR,
+                 PROCESS_EXECUTOR)
 
     @pytest.mark.parametrize("factory", FACTORIES)
     def test_one_ledger_record_for_a_flow_without_invocations(
             self, bare_env, tmp_path, factory):
         ledger = bare_env.attach_ledger(tmp_path / "ledger.jsonl")
-        report = getattr(bare_env, factory)().execute(
+        report = bare_env.executor(factory).execute(
             bare_env.new_flow("empty"))
         assert report.runs == 0
         assert len(ledger.records()) == 1
 
-    @pytest.mark.parametrize("factory", ("scheduled_executor",
-                                         "process_executor"))
+    @pytest.mark.parametrize("factory", (SCHEDULED_EXECUTOR,
+                                         PROCESS_EXECUTOR))
     def test_duration_model_subscribed_only_while_executing(
             self, bare_env, factory):
+        """A duration model learns while its owner keeps it subscribed
+        to the environment's bus; executors never touch the bus's
+        sinks themselves."""
         bus = bare_env.bus
+        model = bus.subscribe(DurationModel())
         sinks = list(bus._sinks)
-        executor = getattr(bare_env, factory)()
-        assert bus._sinks == sinks and not bus.enabled
+        executor = bare_env.executor(factory)
+        assert bus._sinks == sinks
         flow, _ = TestExecutor().simulate_flow(bare_env)
         executor.execute(flow)
-        assert bus._sinks == sinks and not bus.enabled
-        # the model still learned from the run's events
-        assert S.SIMULATOR in executor.durations.observed_types()
+        assert bus._sinks == sinks
+        bus.unsubscribe(model)
+        assert not bus.enabled
+        # the model learned from the run's events
+        assert S.SIMULATOR in model.observed_types()

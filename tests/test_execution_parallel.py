@@ -9,6 +9,7 @@ from repro.errors import ExecutionError
 from repro.execution import (DesignEnvironment, MachinePool,
                              ParallelFlowExecutor, encapsulation,
                              plan_branches)
+from repro.obs import PARALLEL_EXECUTOR
 from repro.schema import standard as S
 
 
@@ -98,14 +99,14 @@ class TestBranchPlanning:
 class TestParallelExecution:
     def test_branches_run_concurrently(self, slow_env):
         flow = two_branch_flow(slow_env)
-        executor = slow_env.parallel_executor(machines=2)
+        executor = slow_env.executor(PARALLEL_EXECUTOR, workers=2)
         report = executor.execute(flow)
         assert len(report.results) == 2
         assert slow_env.peak_concurrent == 2  # true overlap observed
 
     def test_single_machine_serializes(self, slow_env):
         flow = two_branch_flow(slow_env)
-        executor = slow_env.parallel_executor(machines=1)
+        executor = slow_env.executor(PARALLEL_EXECUTOR, workers=1)
         executor.execute(flow)
         assert slow_env.peak_concurrent == 1
 
@@ -123,7 +124,7 @@ class TestParallelExecution:
 
     def test_history_consistent_after_parallel_run(self, slow_env):
         flow = two_branch_flow(slow_env)
-        slow_env.parallel_executor(machines=2).execute(flow)
+        slow_env.executor(PARALLEL_EXECUTOR, workers=2).execute(flow)
         for instance in slow_env.db.browse(S.EXTRACTED_NETLIST):
             record = instance.derivation
             assert record is not None
@@ -134,7 +135,7 @@ class TestParallelExecution:
         """Two 50ms branches should take well under 2x50ms on 2 machines."""
         flow = two_branch_flow(slow_env)
         started = time.perf_counter()
-        slow_env.parallel_executor(machines=2).execute(flow)
+        slow_env.executor(PARALLEL_EXECUTOR, workers=2).execute(flow)
         elapsed = time.perf_counter() - started
         assert elapsed < 0.095
 
@@ -153,9 +154,9 @@ class TestParallelExecution:
         flow.bind(flow.sole_node_of_type(S.EXTRACTOR),
                   instance.instance_id)
         with pytest.raises(RuntimeError, match="tool crashed"):
-            slow_env.parallel_executor(machines=2).execute(flow)
+            slow_env.executor(PARALLEL_EXECUTOR, workers=2).execute(flow)
 
     def test_empty_flow(self, slow_env):
         flow = slow_env.new_flow("empty")
-        report = slow_env.parallel_executor().execute(flow)
+        report = slow_env.executor(PARALLEL_EXECUTOR).execute(flow)
         assert report.results == []

@@ -18,6 +18,7 @@ import pytest
 from repro.errors import ExecutionError, ToolError
 from repro.execution import (DesignEnvironment, FaultPlan, FaultSpec,
                              ResiliencePolicy, encapsulation)
+from repro.obs import PROCESS_EXECUTOR, SCHEDULED_EXECUTOR
 from repro.schema.builder import SchemaBuilder
 
 SLEEP = 0.03
@@ -76,20 +77,21 @@ class TestEquivalence:
         a = fan_env()
         a.run(fan_flow(a))
         b = fan_env()
-        report = b.process_executor(workers=2).execute(fan_flow(b))
+        report = b.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(b))
         assert len(report.results) == 4
         assert digest(a) == digest(b)
 
     def test_results_report_worker_machines(self):
         env = fan_env()
-        report = env.process_executor(workers=2).execute(fan_flow(env))
+        report = env.executor(PROCESS_EXECUTOR, workers=2).execute(
+            fan_flow(env))
         machines = {r.machine for r in report.results}
         assert machines <= {"worker0", "worker1"}
 
     def test_worker_count_must_be_positive(self):
         env = fan_env()
         with pytest.raises(ExecutionError):
-            env.process_executor(workers=0)
+            env.executor(PROCESS_EXECUTOR, workers=0)
 
     def test_composition_matches_sequential(self, stocked_env):
         from tests.conftest import build_performance_flow
@@ -103,26 +105,27 @@ class TestEquivalence:
                 simulator_id=env.db.latest("Simulator").instance_id)
 
         flow, goal = performance(stocked_env)
-        report = stocked_env.process_executor(workers=2).execute(flow)
+        report = stocked_env.executor(PROCESS_EXECUTOR,
+                                      workers=2).execute(flow)
         assert goal.produced
         assert [r.tool_type for r in report.results] == [None,
                                                          "Simulator"]
 
     def test_cache_reuse_across_runs(self):
         env = fan_env()
-        first = env.process_executor(
-            workers=2, cache="readwrite").execute(fan_flow(env))
+        first = env.executor(PROCESS_EXECUTOR, workers=2,
+                             cache="readwrite").execute(fan_flow(env))
         assert len(first.results) == 4
-        second = env.process_executor(
-            workers=2, cache="readwrite").execute(fan_flow(env))
+        second = env.executor(PROCESS_EXECUTOR, workers=2,
+                              cache="readwrite").execute(fan_flow(env))
         assert not second.results
         assert second.cache_hits == 4
 
     def test_skips_already_produced_nodes(self):
         env = fan_env()
         flow = fan_flow(env)
-        env.process_executor(workers=2).execute(flow)
-        again = env.process_executor(workers=2).execute(flow)
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(flow)
+        again = env.executor(PROCESS_EXECUTOR, workers=2).execute(flow)
         assert not again.results
         assert len(again.skipped) == 4
 
@@ -133,8 +136,7 @@ class TestResilience:
         policy = ResiliencePolicy(retries=2, backoff_base=0.0,
                                   jitter=0.0)
         faults = FaultPlan([FaultSpec("Tool", 2)], seed=1)
-        report = env.process_executor(
-            workers=2, resilience=policy,
+        report = env.executor(PROCESS_EXECUTOR, workers=2, resilience=policy,
             faults=faults).execute(fan_flow(env))
         assert len(report.results) == 4
         assert report.retries == 1
@@ -147,8 +149,7 @@ class TestResilience:
         faults = FaultPlan([FaultSpec("Tool", 1, kind="hang",
                                       delay=30.0)], seed=1)
         started = time.perf_counter()
-        report = env.process_executor(
-            workers=2, resilience=policy,
+        report = env.executor(PROCESS_EXECUTOR, workers=2, resilience=policy,
             faults=faults).execute(fan_flow(env))
         elapsed = time.perf_counter() - started
         # the hung worker was killed at the 0.5s budget, not after 30s
@@ -169,8 +170,8 @@ class TestResilience:
         env = fan_env(tool_fn=suicidal)
         policy = ResiliencePolicy(retries=2, backoff_base=0.0,
                                   jitter=0.0)
-        report = env.process_executor(
-            workers=1, resilience=policy).execute(fan_flow(env))
+        report = env.executor(PROCESS_EXECUTOR, workers=1,
+                              resilience=policy).execute(fan_flow(env))
         assert len(report.results) == 4
         assert report.retries >= 1
 
@@ -181,8 +182,7 @@ class TestResilience:
         faults = FaultPlan([FaultSpec("Tool", 1, transient=False)],
                            seed=1)
         with pytest.raises(ToolError) as caught:
-            env.process_executor(
-                workers=2, resilience=policy,
+            env.executor(PROCESS_EXECUTOR, workers=2, resilience=policy,
                 faults=faults).execute(fan_flow(env))
         # classification survives the process boundary
         assert caught.value.repro_classification == "permanent"
@@ -193,8 +193,7 @@ class TestResilience:
         policy = ResiliencePolicy(degrade=True, quarantine_after=2)
         faults = FaultPlan([FaultSpec("Tool", i, transient=False)
                             for i in (1, 2, 3, 4)], seed=1)
-        report = env.process_executor(
-            workers=1, resilience=policy,
+        report = env.executor(PROCESS_EXECUTOR, workers=1, resilience=policy,
             faults=faults).execute(fan_flow(env))
         assert not report.results
         assert report.quarantined == ["Tool"]
@@ -207,7 +206,7 @@ class TestResilience:
 
         env = fan_env(tool_fn=opaque)
         with pytest.raises(ExecutionError):
-            env.process_executor(workers=1).execute(fan_flow(env))
+            env.executor(PROCESS_EXECUTOR, workers=1).execute(fan_flow(env))
 
 
 class TestQueueWait:
@@ -234,20 +233,21 @@ class TestQueueWait:
 
     def test_procpool_single_worker_accumulates_wait(self):
         env = fan_env(sleep=SLEEP)
-        report = env.process_executor(workers=1).execute(fan_flow(env))
+        report = env.executor(PROCESS_EXECUTOR, workers=1).execute(
+            fan_flow(env))
         self._assert_wait_profile(report)
 
     def test_scheduled_single_machine_accumulates_wait(self):
         env = fan_env(sleep=SLEEP)
-        report = env.scheduled_executor(machines=1).execute(
+        report = env.executor(SCHEDULED_EXECUTOR, workers=1).execute(
             fan_flow(env))
         self._assert_wait_profile(report)
 
     def test_procpool_parallel_run_waits_less_than_serial(self):
         serial_env = fan_env(sleep=SLEEP)
-        serial = serial_env.process_executor(workers=1).execute(
+        serial = serial_env.executor(PROCESS_EXECUTOR, workers=1).execute(
             fan_flow(serial_env))
         wide_env = fan_env(sleep=SLEEP)
-        wide = wide_env.process_executor(workers=4).execute(
+        wide = wide_env.executor(PROCESS_EXECUTOR, workers=4).execute(
             fan_flow(wide_env))
         assert wide.queue_wait_time < serial.queue_wait_time

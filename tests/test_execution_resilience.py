@@ -511,17 +511,8 @@ class TestExecutorEquivalence:
         pol = policy(retries=3, seed=7)
         ring = RingBufferSink()
         env.bus.subscribe(ring)
-        if kind == "parallel":
-            executor = env.parallel_executor(machines=3,
-                                             resilience=pol,
-                                             faults=plan)
-        elif kind == "scheduled":
-            executor = env.scheduled_executor(machines=3,
-                                              resilience=pol,
-                                              faults=plan)
-        else:
-            executor = env.executor(resilience=pol, faults=plan)
-        report = executor.execute(flow)
+        report = env.executor(kind, workers=3, resilience=pol,
+                              faults=plan).execute(flow)
         classifications = sorted(
             (e.tool_type, e.value("classification"))
             for e in ring.events() if e.event_type == TOOL_RETRIED)
@@ -662,9 +653,10 @@ class TestRunCli:
         assert code == 1
         assert "FAILED" in out
 
-    def test_scheduled_executor_rejects_targets(self, tmp_path,
-                                                capsys):
+    def test_procpool_executor_runs_targets(self, tmp_path, capsys):
         directory = self.saved_project(tmp_path, "proj4")
         code = main(["run", str(directory), "extract",
-                     "--executor", "scheduled", "--target", "n0"])
-        assert code == 2
+                     "--executor", "procpool", "--target", "n0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1 tool runs" in out

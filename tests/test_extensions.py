@@ -9,6 +9,7 @@ from repro.errors import ExecutionError, UIError
 from repro.execution import (DurationModel, MachinePool,
                              ScheduledFlowExecutor, encapsulation,
                              plan_schedule)
+from repro.obs import SCHEDULED_EXECUTOR
 from repro.process import (DesignObject, DesignProcessManager, Goal,
                            GoalStatus, ProcessError, verified_predicate)
 from repro.schema import standard as S
@@ -410,8 +411,7 @@ class TestScheduledExecutor:
 
         env = DesignEnvironment(schema, clock=clock)
         flow = diamond_flow(env, latency=0)
-        executor = ScheduledFlowExecutor(env.db, env.registry,
-                                         machines=2)
+        executor = ScheduledFlowExecutor(env.db, env.registry, pool=2)
         executor.execute(flow)
         second = executor.execute(flow)
         assert second.results == []
@@ -434,8 +434,7 @@ class TestScheduledExecutor:
         flow.bind(flow.sole_node_of_type(S.LAYOUT), layout.instance_id)
         flow.bind(flow.sole_node_of_type(S.EXTRACTOR),
                   env.db.latest(S.EXTRACTOR).instance_id)
-        executor = ScheduledFlowExecutor(env.db, env.registry,
-                                         machines=2)
+        executor = ScheduledFlowExecutor(env.db, env.registry, pool=2)
         with pytest.raises(RuntimeError, match="boom"):
             executor.execute(flow)
 
@@ -444,8 +443,6 @@ class TestScheduledExecutor:
 
         env = DesignEnvironment(schema, clock=clock)
         flow = diamond_flow(env, latency=0.02)
-        model = DurationModel()
-        executor = ScheduledFlowExecutor(env.db, env.registry,
-                                         machines=2, durations=model)
-        executor.execute(flow)
+        model = env.bus.subscribe(DurationModel())
+        env.executor(SCHEDULED_EXECUTOR, workers=2).execute(flow)
         assert model.estimate(S.EXTRACTOR) >= 0.015

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import (EncapsulationError, ExecutionError, HistoryError)
 from repro.execution import DesignEnvironment, encapsulation
+from repro.obs import PARALLEL_EXECUTOR
 from repro.schema import standard as S
 
 
@@ -199,7 +200,7 @@ class TestParallelFailures:
                              if n.entity_type == S.EXTRACTOR
                              and not n.is_bound]
             flow.bind(unbound_tools[0], tool.instance_id)
-        executor = env.parallel_executor(machines=2)
+        executor = env.executor(PARALLEL_EXECUTOR, workers=2)
         with pytest.raises(RuntimeError, match="branch down"):
             executor.execute(flow)
         # the good branch finished and recorded its result

@@ -12,7 +12,8 @@ from repro.execution import ScheduledFlowExecutor, encapsulation
 from repro.obs import (CACHE_HIT, CACHE_MISS, COMPOSITION_RUN,
                        EVENT_TYPES, EXECUTION_FAILED, FLOW_FINISHED,
                        FLOW_STARTED, INSTANCE_CREATED, LANE_ASSIGNED,
-                       NODE_READY, SCHEMA_VERSION, TOOL_FINISHED,
+                       NODE_READY, PARALLEL_EXECUTOR, SCHEMA_VERSION,
+                       TOOL_FINISHED,
                        TOOL_INVOKED, Event, EventBus, JSONLSink,
                        MetricsRegistry, NullSink, RingBufferSink,
                        escape_label_value, read_events, replay_into,
@@ -154,7 +155,7 @@ class TestEventOrdering:
                 flow.bind(node, env.netlist.instance_id)
             elif node.entity_type == S.DEVICE_MODELS:
                 flow.bind(node, env.models.instance_id)
-        report = env.parallel_executor(machines=2).execute(flow)
+        report = env.executor(PARALLEL_EXECUTOR, workers=2).execute(flow)
         assert len(report.results) == 2
         lanes = sink.events(LANE_ASSIGNED)
         assert len(lanes) == 2
@@ -280,14 +281,18 @@ class TestSchedulerFedFromEvents:
         assert model.estimate("Extractor") == 9.0
 
     def test_scheduled_executor_feeds_model_via_events(self, stocked_env):
+        from repro.execution import DurationModel
+
         env = stocked_env
         flow, goal = simulate_flow(env)
+        model = env.bus.subscribe(DurationModel())
         executor = ScheduledFlowExecutor(env.db, env.registry,
-                                         user=env.user, machines=2)
+                                         user=env.user, pool=2,
+                                         bus=env.bus)
         report = executor.execute(flow)
         assert len(report.results) == 2
-        assert S.SIMULATOR in executor.durations.observed_types()
-        assert "@compose" in executor.durations.observed_types()
+        assert S.SIMULATOR in model.observed_types()
+        assert "@compose" in model.observed_types()
         assert report.wall_time > 0
 
 

@@ -7,7 +7,8 @@ import pytest
 from repro.errors import ObservabilityError, ToolError
 from repro.execution import encapsulation
 from repro.execution.executor import ExecutionReport, InvocationResult
-from repro.obs import (FAIL, OK, WARN, HealthThresholds, JSONLSink,
+from repro.obs import (FAIL, OK, PARALLEL_EXECUTOR, SCHEDULED_EXECUTOR,
+                       WARN, HealthThresholds, JSONLSink,
                        RunLedger, RunRecord, ToolRunStats,
                        evaluate_health, render_json,
                        render_prometheus_ledger, timer_stats_of,
@@ -374,7 +375,7 @@ class TestExecutorWiring:
                 flow.bind(node, stocked_env.netlist.instance_id)
             elif node.entity_type == S.DEVICE_MODELS:
                 flow.bind(node, stocked_env.models.instance_id)
-        stocked_env.parallel_executor(machines=2).execute(flow)
+        stocked_env.executor(PARALLEL_EXECUTOR, workers=2).execute(flow)
         (record,) = ledger.records()
         assert record.executor == "parallel"
         assert record.runs == 2
@@ -383,7 +384,7 @@ class TestExecutorWiring:
                                               tmp_path):
         ledger = stocked_env.attach_ledger(tmp_path / "ledger.jsonl")
         flow, goal = simulate_flow(stocked_env)
-        stocked_env.scheduled_executor(machines=2).execute(flow)
+        stocked_env.executor(SCHEDULED_EXECUTOR, workers=2).execute(flow)
         (record,) = ledger.records()
         assert record.executor == "scheduled"
 

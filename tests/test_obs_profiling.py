@@ -32,7 +32,8 @@ from repro.history.database import HistoryDatabase
 from repro.history.instance import EntityInstance
 from repro.history.sqlite_store import AUDITED_QUERIES, SqliteHistoryStore
 from repro.history.store import InMemoryHistoryStore
-from repro.obs import (FAIL, OK, TOOL_SPAN, HealthThresholds,
+from repro.obs import (FAIL, OK, PROCESS_EXECUTOR, SCHEDULED_EXECUTOR,
+                       TOOL_SPAN, HealthThresholds,
                        JSONLSink, ProfileAggregate, QueryRecorder,
                        RingBufferSink, RunLedger, RunRecord,
                        SamplingProfiler, UNSAMPLED_FRAME,
@@ -749,7 +750,7 @@ class TestTimelineModel:
         env = fan_env()
         spans = RingBufferSink(512)
         env.tracer.subscribe(spans)
-        env.process_executor(workers=2).execute(fan_flow(env))
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         model = timeline_model(tuple(spans.events()))
         assert model["flow"] == "fan"
         assert model["wall"] > 0
@@ -766,7 +767,7 @@ class TestTimelineModel:
         env = fan_env()
         sink = JSONLSink(tmp_path / "trace.jsonl")
         env.tracer.subscribe(sink)
-        env.process_executor(workers=2).execute(fan_flow(env))
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         sink.close()
         assert main(["trace", "timeline", str(tmp_path),
                      "--json"]) == 0
@@ -821,7 +822,7 @@ class TestExecutorIntegration:
 
     def test_scheduled_executor_containment(self):
         aggregate, spans = self.profiled_run(
-            lambda env: env.scheduled_executor(machines=2))
+            lambda env: env.executor(SCHEDULED_EXECUTOR, workers=2))
         self.assert_contained(aggregate, spans)
         # 4 x 5ms sleeping bodies at a 1ms sweep: the sampler must
         # actually catch some of them in the act
@@ -829,7 +830,7 @@ class TestExecutorIntegration:
 
     def test_procpool_ships_profiles_home_and_clamps(self):
         aggregate, spans = self.profiled_run(
-            lambda env: env.process_executor(workers=2))
+            lambda env: env.executor(PROCESS_EXECUTOR, workers=2))
         self.assert_contained(aggregate, spans)
         assert aggregate.sample_count("Tool") > 0
 
@@ -839,7 +840,7 @@ class TestExecutorIntegration:
         env.profiler = SamplingProfiler(0.001)
         env.profiler.start()
         try:
-            env.process_executor(workers=2).execute(fan_flow(env))
+            env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         finally:
             env.profiler.stop()
         record = RunLedger(tmp_path / "ledger.jsonl").records()[-1]

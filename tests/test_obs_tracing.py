@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ObservabilityError
-from repro.obs import (CACHE_SPAN, COMPOSE_SPAN, NULL_SPAN, RUN_SPAN,
+from repro.obs import (CACHE_SPAN, COMPOSE_SPAN, NULL_SPAN,
+                       PARALLEL_EXECUTOR, RUN_SPAN, SCHEDULED_EXECUTOR,
                        TASK_SPAN, TOOL_FINISHED, TOOL_SPAN, WAVE_SPAN,
                        EventBus, JSONLSink, MetricsRegistry,
                        RingBufferSink, Span, Tracer, critical_path,
@@ -300,7 +301,7 @@ class TestParallelExecutorTracing:
         env, flow = self._two_branch_env_and_flow(schema, clock)
         sink = RingBufferSink(256)
         env.tracer.subscribe(sink)
-        env.parallel_executor(machines=2).execute(flow)
+        env.executor(PARALLEL_EXECUTOR, workers=2).execute(flow)
         spans = list(sink.events())
         assert validate_spans(spans) == []
         roots = [s for s in spans if s.parent_id is None]
@@ -322,7 +323,7 @@ class TestScheduledExecutorTracing:
     def test_lanes_waves_and_queue_wait(self, traced_env):
         env, sink = traced_env
         flow, goal = simulate_flow(env)
-        report = env.scheduled_executor(machines=2).execute(flow)
+        report = env.executor(SCHEDULED_EXECUTOR, workers=2).execute(flow)
         spans = list(sink.events())
         assert validate_spans(spans) == []
         root = next(s for s in spans if s.parent_id is None)

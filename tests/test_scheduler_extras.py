@@ -85,8 +85,7 @@ class TestScheduledExecutorForce:
     def test_force_reruns(self, schema, clock):
         env = noop_env(schema, clock)
         flow = extraction_flow(env)
-        executor = ScheduledFlowExecutor(env.db, env.registry,
-                                         machines=2)
+        executor = ScheduledFlowExecutor(env.db, env.registry, pool=2)
         first = executor.execute(flow)
         assert len(first.results) == 1
         second = executor.execute(flow, force=True)

@@ -19,6 +19,7 @@ from repro import DesignEnvironment
 from repro.execution import (FaultPlan, FaultSpec, ResiliencePolicy,
                              SharedDerivationMemo, encapsulation)
 from repro.execution.shared_memo import MEMO_SCHEMA_VERSION
+from repro.obs import PROCESS_EXECUTOR, SCHEDULED_EXECUTOR
 from repro.schema.builder import SchemaBuilder
 
 SIG = "sig-a"
@@ -261,10 +262,11 @@ class TestDeterminism:
                             for inst in env.db.instances())
             return digest, report.retries, faults.fired
 
-        threaded = run(lambda env, policy, faults: env.scheduled_executor(
-            machines=2, resilience=policy, faults=faults))
-        pooled = run(lambda env, policy, faults: env.process_executor(
-            workers=2, resilience=policy, faults=faults))
+        threaded = run(lambda env, policy, faults: env.executor(
+            SCHEDULED_EXECUTOR, workers=2, resilience=policy,
+            faults=faults))
+        pooled = run(lambda env, policy, faults: env.executor(
+            PROCESS_EXECUTOR, workers=2, resilience=policy, faults=faults))
         assert threaded[0] == pooled[0]
         assert threaded[1] == pooled[1] == 2
         assert threaded[2] == pooled[2]

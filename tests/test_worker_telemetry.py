@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.execution import DesignEnvironment, encapsulation
-from repro.obs import (FAIL, OK, PHASE_SPAN, RUN_SPAN, TASK_SPAN,
-                       TOOL_SPAN, WARN, WORKER_PHASES, WORKER_STATS,
-                       ClockSync, Event, HealthThresholds,
+from repro.obs import (FAIL, OK, PHASE_SPAN, PROCESS_EXECUTOR, RUN_SPAN,
+                       TASK_SPAN, TOOL_SPAN, WARN, WORKER_PHASES,
+                       WORKER_STATS, ClockSync, Event, HealthThresholds,
                        MetricsRegistry, RingBufferSink, RunLedger,
                        RunRecord, Span, WorkerRunStats,
                        WorkerTelemetry, evaluate_health, fit_phases,
@@ -227,7 +227,8 @@ class TestProcpoolTraceMerge:
         env.tracer.subscribe(spans)
         events = RingBufferSink(512)
         env.bus.subscribe(events)
-        report = env.process_executor(workers=2).execute(fan_flow(env))
+        report = env.executor(PROCESS_EXECUTOR, workers=2).execute(
+            fan_flow(env))
         return report, tuple(spans.events()), events
 
     def test_merged_trace_validates_with_no_orphans(self, traced_run):
@@ -273,7 +274,7 @@ class TestProcpoolTraceMerge:
         env = fan_env()
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         env.ledger = ledger
-        env.process_executor(workers=2).execute(fan_flow(env))
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         record = RunLedger(tmp_path / "ledger.jsonl").records()[-1]
         assert set(record.workers) == {"worker0", "worker1"}
         total = sum(w.invocations for w in record.workers.values())
@@ -364,7 +365,7 @@ class TestTimeline:
         from repro.obs import JSONLSink
         sink = JSONLSink(tmp_path / "trace.jsonl")
         env.tracer.subscribe(sink)
-        env.process_executor(workers=2).execute(fan_flow(env))
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         sink.close()
         assert main(["trace", "timeline", str(tmp_path)]) == 0
         output = capsys.readouterr().out
@@ -454,7 +455,7 @@ class TestFollow:
         from repro.obs import JSONLSink
         log = tmp_path / "events.jsonl"
         env.bus.subscribe(JSONLSink(log))
-        env.process_executor(workers=2).execute(fan_flow(env))
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         code = main(["events", str(log), "--follow",
                      "--duration", "0.2", "--poll", "0.05",
                      "--type", "worker_stats"])
@@ -656,7 +657,7 @@ class TestStatsCli:
         env = fan_env()
         save_environment(env, tmp_path)
         env.ledger = RunLedger(tmp_path / "ledger.jsonl")
-        env.process_executor(workers=2).execute(fan_flow(env))
+        env.executor(PROCESS_EXECUTOR, workers=2).execute(fan_flow(env))
         assert main(["stats", str(tmp_path)]) == 0
         output = capsys.readouterr().out
         assert "workers (latest run): 2 worker(s)" in output
