@@ -12,7 +12,11 @@ cache enabled and fails (exit 1) when:
   ``benchmarks/artifacts/cache_baseline.json``;
 * the warm run's wall time exceeds the cold run's by more than the
   tolerance (a very lenient sanity bound — counts, not clocks, are the
-  real contract, so machine speed never flakes this check).
+  real contract, so machine speed never flakes this check);
+* after the cold environment is saved and reloaded on either history
+  backend, a warm ``reuse`` run executes any tool, returns other ids
+  than the cold run, or the save left a ``cache.json`` behind (the
+  index is rebuilt from the history, never from a snapshot).
 
 Regenerate the baseline after an intentional structural change with::
 
@@ -26,6 +30,7 @@ import argparse
 import json
 import pathlib
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -70,6 +75,10 @@ def run_once():
     hit_events = sum(1 for e in sink.events()
                      if e.event_type == CACHE_HIT)
 
+    reload = {backend: reload_once(env, layout_id, reference.instance_id,
+                                   backend, cold.created)
+              for backend in ("json", "sqlite")}
+
     return {
         "cold_invocations": len(cold.results),
         "cold_created": len(cold.created),
@@ -80,7 +89,34 @@ def run_once():
         "same_ids": sorted(warm.reused) == sorted(cold.created),
         "cold_elapsed": cold_elapsed,
         "warm_elapsed": warm_elapsed,
+        "reload": reload,
     }
+
+
+def reload_once(env, layout_id: str, reference_id: str, backend: str,
+                created: list[str]) -> dict:
+    """Save ``env`` on ``backend``, reload it and re-run Fig. 5 warm."""
+    from test_bench_fig05_complex_flow import build_fig5_flow
+    from repro.history.sqlite_store import SqliteHistoryStore
+    from repro.persistence import load_environment, save_environment
+    from repro.tools import register_standard_encapsulations
+
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = pathlib.Path(scratch)
+        save_environment(env, directory, backend=backend)
+        reloaded = load_environment(directory)
+        register_standard_encapsulations(reloaded)
+        # the flow builder reads these installed ids off the env
+        for name in ("tools", "models", "stimuli_inv"):
+            setattr(reloaded, name, getattr(env, name))
+        warm = reloaded.run(
+            build_fig5_flow(reloaded, layout_id, reference_id),
+            cache="reuse")
+        if isinstance(reloaded.db.store, SqliteHistoryStore):
+            reloaded.db.store.close()
+        return {"invocations": len(warm.results),
+                "same_ids": sorted(warm.reused) == sorted(created),
+                "cache_json": (directory / "cache.json").exists()}
 
 
 def check(stats: dict, baseline: dict | None) -> list[str]:
@@ -103,6 +139,16 @@ def check(stats: dict, baseline: dict | None) -> list[str]:
         failures.append(
             f"warm run ({stats['warm_elapsed']:.3f}s) slower than "
             f"cold ({stats['cold_elapsed']:.3f}s) beyond tolerance")
+    for backend, leg in sorted(stats["reload"].items()):
+        if leg["invocations"] != 0:
+            failures.append(
+                f"{backend} reload: warm run executed "
+                f"{leg['invocations']} tool invocations; expected 0")
+        if not leg["same_ids"]:
+            failures.append(f"{backend} reload: warm run did not return "
+                            "the cold run's instance ids")
+        if leg["cache_json"]:
+            failures.append(f"{backend} reload: save wrote cache.json")
     if baseline is not None:
         for key in ("cold_invocations", "cold_created", "warm_hits",
                     "warm_reused"):
@@ -124,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.write_baseline:
         BASELINE.parent.mkdir(exist_ok=True)
         recorded = {k: v for k, v in stats.items()
-                    if not k.endswith("_elapsed")}
+                    if not k.endswith("_elapsed") and k != "reload"}
         BASELINE.write_text(json.dumps(recorded, indent=1,
                                        sort_keys=True) + "\n",
                             encoding="utf-8")

@@ -51,7 +51,7 @@ from .history.database import BrowseFilter
 from .history.query import dependents_of_type
 from .history.store import BACKEND_SQLITE, BACKENDS
 from .history.trace import backward_trace
-from .obs import (EVENT_TYPES, PROCESS_EXECUTOR, SEQUENTIAL_EXECUTOR,
+from .obs import (EVENT_TYPES, SEQUENTIAL_EXECUTOR,
                   HealthThresholds, JSONLSink,
                   MetricsRegistry, ProfileAggregate, QueryRecorder,
                   RunLedger, RunRecord, SamplingProfiler, append_profile,
@@ -63,7 +63,7 @@ from .obs import (EVENT_TYPES, PROCESS_EXECUTOR, SEQUENTIAL_EXECUTOR,
                   replay_into, timeline_model, tool_baselines,
                   validate_chrome_trace, validate_spans)
 from .obs.health import DEFAULT_K, DEFAULT_MIN_SAMPLES, DEFAULT_WINDOW
-from .persistence import (CACHE_FILE, LEDGER_FILE, PROFILE_FILE,
+from .persistence import (LEDGER_FILE, PROFILE_FILE,
                           SLOW_QUERY_FILE, TRACE_FILE,
                           load_environment, migrate_environment,
                           save_environment)
@@ -224,11 +224,8 @@ def _run_resilience(args: argparse.Namespace
 
 def _executor(env: DesignEnvironment, args: argparse.Namespace,
               **options):
-    """The executor ``--executor``/``--machines``/``--workers`` name."""
-    return env.executor(
-        args.executor, workers=(args.workers
-                                if args.executor == PROCESS_EXECUTOR
-                                else args.machines), **options)
+    """The executor ``--executor`` and ``--workers`` name."""
+    return env.executor(args.executor, workers=args.workers, **options)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -361,13 +358,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     env = _load(args.directory)
     stats = history_statistics(env.db)
-    cache_summary = None
-    cache_path = pathlib.Path(args.directory) / CACHE_FILE
-    if cache_path.exists():
-        snapshot = json.loads(cache_path.read_text(encoding="utf-8"))
-        entries = snapshot.get("entries", {})
-        groups = sum(len(e.get("groups", ())) for e in entries.values())
-        cache_summary = {"keys": len(entries), "results": groups}
+    env.cache.sync()
+    cache_summary = {"keys": len(env.cache),
+                     "results": env.cache.remembered()}
     records = RunLedger(
         pathlib.Path(args.directory) / LEDGER_FILE).records()
     metrics = None
@@ -388,9 +381,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(render_json(payload))
         return 0
     print(stats.render())
-    if cache_summary is not None:
-        print(f"derivation cache: {cache_summary['keys']} keys, "
-              f"{cache_summary['results']} remembered results")
+    print(f"derivation cache: {cache_summary['keys']} keys, "
+          f"{cache_summary['results']} remembered results")
     if records:
         print(f"run ledger: {len(records)} recorded runs, latest:")
         print(f"  {records[-1].render()}")
@@ -904,8 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache", choices=sorted(CACHE_POLICIES),
                      default=CACHE_OFF,
                      help="re-execution cache policy: reuse remembered "
-                          "results ('reuse'), also index new ones "
-                          "('readwrite'), or neither ('off', default)")
+                          "results ('reuse'), also remember new runs' "
+                          "durations in the shared memo ('readwrite'), "
+                          "or neither ('off', default)")
     run.add_argument("--events",
                      help="record execution events to this JSONL log")
     run.add_argument("--trace", action="store_true",
@@ -918,12 +911,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "branches, invocation-level scheduling, or "
                           "real multi-core worker processes "
                           "('procpool')")
-    run.add_argument("--machines", type=int, default=2,
-                     help="machine pool size for the parallel/"
-                          "scheduled executors (default 2)")
-    run.add_argument("--workers", type=int, default=2,
-                     help="worker process count for --executor "
-                          "procpool (default 2)")
+    run.add_argument("--workers", "--machines", dest="workers",
+                     type=int, default=2,
+                     help="pool size of the parallel, scheduled and "
+                          "procpool executors (default 2)")
     run.add_argument("--retries", type=int, default=0,
                      help="retry transiently failing tool invocations "
                           "up to N times with deterministic backoff "
@@ -1194,12 +1185,10 @@ def build_parser() -> argparse.ArgumentParser:
                             default=SEQUENTIAL_EXECUTOR,
                             help="executor to drive every scenario "
                                  "with (default sequential)")
-    corpus_run.add_argument("--machines", type=int, default=2,
-                            help="machine pool size for the parallel/"
-                                 "scheduled executors (default 2)")
-    corpus_run.add_argument("--workers", type=int, default=2,
-                            help="worker process count for --executor "
-                                 "procpool (default 2)")
+    corpus_run.add_argument("--workers", "--machines", dest="workers",
+                            type=int, default=2,
+                            help="pool size of the parallel, scheduled "
+                                 "and procpool executors (default 2)")
     corpus_run.add_argument("--cache", choices=sorted(CACHE_POLICIES),
                             default=CACHE_OFF,
                             help="re-execution cache policy "

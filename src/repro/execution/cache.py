@@ -17,18 +17,27 @@ staleness — an edited input anywhere upstream — silently degrades to a
 miss and a fresh run, exactly the paper's consistency-maintenance rules
 applied in reverse.
 
-The index is populated three ways:
+The history is the index's only source; the index is a view of it.
+It is populated two ways:
 
 * **on record** — the cache registers as a record listener on the
   database, so every instance written while the cache is attached is
-  indexed immediately;
+  queued and indexed at the next :meth:`DerivationCache.sync`, whatever
+  the run's cache policy;
 * **lazily for pre-existing histories** — the first lookup sweeps any
   instances the listener never saw (e.g. a history loaded from disk)
-  and indexes their recorded derivations under current fingerprints;
-* **from a persisted snapshot** — :mod:`repro.persistence` saves the
-  index as ``cache.json``; a snapshot is only believed when the current
-  encapsulation registry's :meth:`signature` matches the one it was
-  built against, otherwise it is dropped and rebuilt lazily.
+  and indexes their recorded derivations.
+
+Executors record the fingerprint of the code that ran in every
+derivation record (``DerivationRecord.code``), so a run is keyed under
+that code whenever it is indexed, and a re-registered tool never
+matches runs of its old code; records without one fall back to the
+registered code.
+
+Two copies of the index persist, both guarded by the encapsulation
+registry's :meth:`signature`: the SQLite backend's key-index table
+(which replaces the first-use sweep when its signature still holds) and
+the cross-process :mod:`~repro.execution.shared_memo` log.
 """
 
 from __future__ import annotations
@@ -43,14 +52,17 @@ from typing import Any, Iterable, Mapping
 from ..errors import ExecutionError
 from ..history.consistency import all_up_to_date
 from ..history.database import HistoryDatabase
-from ..history.instance import EntityInstance
+from ..history.instance import DerivationRecord, EntityInstance
 from .encapsulation import EncapsulationRegistry, fingerprint_callable
 from .shared_memo import SharedDerivationMemo
 
 # -- cache policies ----------------------------------------------------------
-CACHE_OFF = "off"            #: no lookups, no indexing of this run
-CACHE_REUSE = "reuse"        #: reuse hits; do not index this run's results
-CACHE_READWRITE = "readwrite"  #: reuse hits and index fresh results
+# The record listener indexes every recorded instance once the cache
+# exists, whatever the policy; the policies differ in what they read and
+# in what a fresh run adds beyond the listener.
+CACHE_OFF = "off"            #: no lookups; the cache is never built
+CACHE_REUSE = "reuse"        #: reuse hits; fresh runs only via the listener
+CACHE_READWRITE = "readwrite"  #: reuse hits; store duration and memo line
 
 CACHE_POLICIES = (CACHE_OFF, CACHE_REUSE, CACHE_READWRITE)
 
@@ -133,7 +145,6 @@ class DerivationCache:
         self._dirty: list[EntityInstance] = []
         self._synced = False
         self._attached = False
-        self._pending: dict[str, Any] | None = None
         self.memo: SharedDerivationMemo | None = None
 
     # ------------------------------------------------------------------
@@ -145,11 +156,6 @@ class DerivationCache:
             self.db.add_record_listener(self._on_record)
             self._attached = True
         return self
-
-    def detach(self) -> None:
-        if self._attached:
-            self.db.remove_record_listener(self._on_record)
-            self._attached = False
 
     def attach_shared_memo(
             self, path: str | pathlib.Path) -> SharedDerivationMemo:
@@ -190,31 +196,38 @@ class DerivationCache:
 
     def tool_run_key(self, tool_id: str,
                      combo: Mapping[str, Any],
-                     output_types: Iterable[str]) -> str:
+                     output_types: Iterable[str],
+                     code: str | None = None) -> str:
         """Derivation key for one tool call.
 
         ``combo`` maps role names to an input instance id (fan-out mode)
-        or a list of them (batch mode).
+        or a list of them (batch mode).  ``code`` is the fingerprint of
+        the encapsulation that ran; ``None`` means the registered one.
         """
         tool = self.db.get(tool_id)
-        encapsulation = self.registry.resolve(tool.entity_type, tool_id)
+        if code is None:
+            code = self.registry.resolve(tool.entity_type,
+                                         tool_id).fingerprint()
         return self._key(
             kind="tool",
             tool_type=tool.entity_type,
             tool_digest=self._data_digest(tool_id),
-            code=encapsulation.fingerprint(),
+            code=code,
             combo=combo,
             output_types=output_types)
 
     def composition_key(self, entity_type: str,
-                        combo: Mapping[str, Any]) -> str:
+                        combo: Mapping[str, Any],
+                        code: str | None = None) -> str:
         """Derivation key for one implicit-composition run."""
-        compose = self.registry.composition(entity_type)
+        if code is None:
+            code = fingerprint_callable(
+                self.registry.composition(entity_type))
         return self._key(
             kind="compose",
             tool_type=entity_type,
             tool_digest="",
-            code=fingerprint_callable(compose),
+            code=code,
             combo=combo,
             output_types=(entity_type,))
 
@@ -258,12 +271,7 @@ class DerivationCache:
         if store.key_index_signature() != self.registry.signature():
             return False
         for key, pairs, duration in store.iter_key_groups():
-            entry = self._entries.setdefault(key, _Entry())
-            if duration > entry.duration:
-                entry.duration = duration
-            members = frozenset(pairs)
-            if not any(frozenset(g) == members for g in entry.groups):
-                entry.groups.append(pairs)
+            self._merge(key, pairs, duration)
             self._seen.update(instance_id for _, instance_id in pairs)
         return True
 
@@ -273,7 +281,7 @@ class DerivationCache:
         Drains the record listener's queue and — on first use — sweeps
         the whole database, so histories that predate the cache (or were
         loaded from disk) participate.  Instances are grouped into tool
-        runs by ``(invocation, tool, inputs)`` before keys are computed,
+        runs by their shared derivation record before keys are computed,
         so multi-output siblings land in one group under one key.
         Returns the number of instances newly indexed.
 
@@ -282,7 +290,6 @@ class DerivationCache:
         registry signature still matches; a full sweep (re)builds it.
         """
         with self._lock:
-            self._absorb_pending()
             self._absorb_memo()
             batch: Iterable[EntityInstance] = self._dirty
             self._dirty = []
@@ -293,7 +300,7 @@ class DerivationCache:
                     store = self._key_store()
                     if store is not None:
                         store.reset_key_index(self.registry.signature())
-            groups: dict[tuple[Any, ...], list[EntityInstance]] = {}
+            groups: dict[DerivationRecord, list[EntityInstance]] = {}
             added = 0
             for instance in batch:
                 if instance.instance_id in self._seen:
@@ -303,22 +310,23 @@ class DerivationCache:
                 derivation = instance.derivation
                 if derivation is None:
                     continue
-                groups.setdefault(
-                    (derivation.invocation, derivation.tool,
-                     derivation.inputs), []).append(instance)
-            for (_, tool, inputs), members in groups.items():
+                groups.setdefault(derivation, []).append(instance)
+            for derivation, members in groups.items():
                 members.sort(key=lambda i: (i.timestamp, i.instance_id))
                 combo: dict[str, list[str]] = {}
-                for role, input_id in inputs:
+                for role, input_id in derivation.inputs:
                     combo.setdefault(role, []).append(input_id)
+                # key under the code that made the run; records that
+                # predate the field fall back to the registered code
+                code = derivation.code or None
                 try:
-                    if tool is None:
+                    if derivation.tool is None:
                         key = self.composition_key(
-                            members[0].entity_type, combo)
+                            members[0].entity_type, combo, code)
                     else:
                         key = self.tool_run_key(
-                            tool, combo,
-                            sorted({m.entity_type for m in members}))
+                            derivation.tool, combo,
+                            sorted({m.entity_type for m in members}), code)
                 except Exception:
                     # underivable record (unregistered encapsulation,
                     # vanished blob, ...): stays uncached
@@ -328,12 +336,20 @@ class DerivationCache:
                 self._remember(key, pairs)
             return added
 
-    def _remember(self, key: str,
-                  pairs: tuple[tuple[str, str], ...]) -> None:
+    def _merge(self, key: str, pairs: tuple[tuple[str, str], ...],
+               duration: float = 0.0) -> _Entry:
+        """Add one group under ``key``, keeping the larger duration."""
         entry = self._entries.setdefault(key, _Entry())
+        entry.duration = max(entry.duration, duration)
         members = frozenset(pairs)
         if not any(frozenset(g) == members for g in entry.groups):
             entry.groups.append(pairs)
+        return entry
+
+    def _remember(self, key: str, pairs: tuple[tuple[str, str], ...],
+                  duration: float = 0.0) -> None:
+        """Merge one of this history's groups and persist it."""
+        entry = self._merge(key, pairs, duration)
         store = self._key_store()
         if store is not None and self._synced:
             store.put_key_group(key, pairs, entry.duration)
@@ -353,32 +369,17 @@ class DerivationCache:
         except OSError:
             return  # unreadable memo: degrade to a process-local cache
         for key, pairs, duration in polled:
-            entry = self._entries.setdefault(key, _Entry())
-            if duration > entry.duration:
-                entry.duration = duration
-            members = frozenset(pairs)
-            if not any(frozenset(g) == members for g in entry.groups):
-                entry.groups.append(pairs)
-
-    def invalidate(self) -> None:
-        """Drop the whole index (it will lazily rebuild on next use)."""
-        with self._lock:
-            self._entries.clear()
-            self._seen.clear()
-            self._dirty = []
-            self._synced = False
-            self._pending = None
-            if self.memo is not None:
-                self.memo.rewind()
-            store = self._key_store()
-            if store is not None:
-                # blank signature: the next sync() sweeps and rebuilds
-                # instead of believing the dropped rows
-                store.reset_key_index("")
+            self._merge(key, pairs, duration)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def remembered(self) -> int:
+        """Remembered runs (groups) across every key."""
+        with self._lock:
+            return sum(len(entry.groups)
+                       for entry in self._entries.values())
 
     # ------------------------------------------------------------------
     # lookups
@@ -400,9 +401,8 @@ class DerivationCache:
             duration = entry.duration if entry is not None else 0.0
 
         def recency(group: tuple[tuple[str, str], ...]) -> float:
-            # rank by actual member timestamps, not list position: a
-            # persisted snapshot may interleave with swept history in
-            # either order
+            # rank by actual member timestamps, not list position: memo
+            # lines and swept history may interleave in either order
             stamps = [self.db.get(instance_id).timestamp
                       for _, instance_id in group
                       if instance_id in self.db]
@@ -437,72 +437,25 @@ class DerivationCache:
 
     def store(self, key: str, outputs: Iterable[tuple[str, str]],
               duration: float = 0.0) -> None:
-        """Index one freshly executed run under its key.
+        """Index one freshly executed run under the key it ran with.
 
-        The record listener has usually indexed the instances already;
-        this entry point additionally remembers the measured duration
-        (the basis of ``time saved`` reporting) and covers databases the
-        cache is not attached to.
+        The group's instances are marked seen before the listener queue
+        drains, so :meth:`sync` does not key the run a second time.
+        Also remembers the measured duration (the basis of ``time
+        saved`` reporting) and publishes the run to the memo.
         """
         group = tuple(outputs)
         if not group:
             return
         with self._lock:
-            self.sync()
             self._seen.update(instance_id for _, instance_id in group)
-            entry = self._entries.setdefault(key, _Entry())
-            if duration > 0.0:
-                entry.duration = duration
-            self._remember(key, group)
+            self.sync()
+            self._remember(key, group, duration)
             if self.memo is not None:
                 try:
                     self.memo.append(key, group, duration)
                 except OSError:
                     pass  # unwritable memo: stay process-local
-
-    # ------------------------------------------------------------------
-    # persistence (used by repro.persistence)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        with self._lock:
-            self.sync()
-            return {
-                "signature": self.registry.signature(),
-                "seen": sorted(self._seen),
-                "entries": {
-                    key: {"duration": entry.duration,
-                          "groups": [[[t, i] for t, i in group]
-                                     for group in entry.groups]}
-                    for key, entry in sorted(self._entries.items())
-                },
-            }
-
-    def restore(self, payload: dict[str, Any]) -> None:
-        """Adopt a persisted index snapshot.
-
-        Deferred until first use: encapsulations are registered *after*
-        an environment loads, so the signature check must wait for them.
-        """
-        with self._lock:
-            self._pending = payload
-
-    def _absorb_pending(self) -> None:
-        payload, self._pending = self._pending, None
-        if not payload:
-            return
-        if payload.get("signature") != self.registry.signature():
-            # encapsulation code changed since the snapshot: every key
-            # in it embeds a dead fingerprint, so rebuild from history
-            return
-        for key, spec in payload.get("entries", {}).items():
-            entry = self._entries.setdefault(key, _Entry())
-            entry.duration = float(spec.get("duration", 0.0))
-            for group in spec.get("groups", ()):
-                pairs = tuple((entity_type, instance_id)
-                              for entity_type, instance_id in group)
-                if pairs and pairs not in entry.groups:
-                    entry.groups.append(pairs)
-        self._seen.update(payload.get("seen", ()))
 
     def __repr__(self) -> str:
         return (f"DerivationCache({len(self._entries)} keys, "

@@ -125,7 +125,7 @@ class DesignEnvironment:
         worker lanes of a :class:`ProcessFlowExecutor` coordinator —
         publish every cache store there and absorb each other's
         entries on lookup, guarded by the same registry signature that
-        invalidates the in-memory cache when tool code changes.
+        guards the SQLite key index against changed tool code.
         """
         self._shared_memo_path = pathlib.Path(path)
         return self.cache.attach_shared_memo(self._shared_memo_path)

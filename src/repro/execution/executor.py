@@ -48,7 +48,7 @@ from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
 from .cache import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                     DerivationCache, normalize_policy)
 from .encapsulation import (EncapsulationRegistry, ToolContext,
-                            ToolEncapsulation)
+                            ToolEncapsulation, fingerprint_callable)
 from .faults import FaultPlan
 from .resilience import (QUARANTINED, UPSTREAM, CallStats,
                          InvocationFailure, ResiliencePolicy,
@@ -248,6 +248,9 @@ class _Call:
     #: One input combination: role -> instance id (or list of ids for
     #: batch encapsulations).
     combo: dict[str, Any]
+    #: Fingerprint of the code the call runs; its derivation record
+    #: keeps it, so the cache can key the run from the history alone.
+    code: str
     key: str | None
     inputs: dict[str, Any]
     value: Any = None
@@ -898,12 +901,14 @@ class _ExecutionKernel:
         cache = self._cache_for_run()
         types = sorted(set(task.output_types))
         for enc, ctx, combo in self._combos(task):
+            code = (fingerprint_callable(task.compose) if enc is None
+                    else enc.fingerprint())
             key = None
             if cache is not None:
-                key = (cache.composition_key(task.name, combo)
+                key = (cache.composition_key(task.name, combo, code)
                        if ctx is None else
                        cache.tool_run_key(ctx.tool_instance_id, combo,
-                                          types))
+                                          types, code))
                 if self._cache_reads:
                     attributes = {"key": key[:16]}
                     if ctx is not None:
@@ -931,7 +936,7 @@ class _ExecutionKernel:
                            else self.db.data(ref))
                     for role, ref in combo.items()
                 }
-            yield _Call(enc, ctx, combo, key, inputs)
+            yield _Call(enc, ctx, combo, code, key, inputs)
 
     def _take_hit(self, run: _Run, task: _Task, hit: Any) -> None:
         grouped = hit.ids_by_type()
@@ -1056,7 +1061,7 @@ class _ExecutionKernel:
                                          call.enc.name)
         derivation = DerivationRecord(call.tool_id,
                                       _derivation_inputs(call.combo),
-                                      task.invocation_id)
+                                      task.invocation_id, call.code)
         created: list[tuple[str, str]] = []
         for node in task.output_nodes:
             with self._lock:

@@ -1,14 +1,17 @@
 """Cross-process shared derivation memo (file-locked append log).
 
 The :class:`~repro.execution.cache.DerivationCache` is an in-process
-index; the moment flows execute on real worker *processes* — or two
-``repro run`` invocations share one environment directory — remembered
-tool runs must survive process boundaries.  The memo is the smallest
-structure that does: an append-only JSONL log (``memo.jsonl`` under the
-environment directory) where each line records one derivation-key ->
-outputs group, stamped with the encapsulation registry's sha256
-signature so stale code silently invalidates old lines, exactly like
-the persisted ``cache.json`` snapshot.
+view of the history; the moment flows execute on real worker
+*processes* — or two ``repro run`` invocations share one environment
+directory — remembered tool runs must survive process boundaries.  The
+memo is the smallest structure that does: an append-only JSONL log
+(``memo.jsonl`` under the environment directory) where each line
+records one derivation-key -> outputs group with its measured duration,
+stamped with the encapsulation registry's sha256 signature so stale
+code silently invalidates old lines, exactly like the SQLite backend's
+key-index table.  Those two are the only persisted copies of the index;
+the history rebuilds every key and group they hold for its own
+records; only the measured durations live there alone.
 
 Safety model (single-writer append, shared readers):
 

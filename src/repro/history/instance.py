@@ -33,11 +33,17 @@ class DerivationRecord:
         Identifier shared by all sibling outputs of one coalesced task
         invocation (Fig. 5: extractor producing both a netlist and
         statistics in one run).
+    code:
+        Fingerprint of the tool encapsulation (or composition function)
+        that ran, so the run's derivation key can be rebuilt from the
+        record after the registered code changes; empty on records
+        that predate it.
     """
 
     tool: str | None
     inputs: tuple[tuple[str, str], ...] = ()
     invocation: str = ""
+    code: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(sorted(self.inputs)))
@@ -61,18 +67,23 @@ class DerivationRecord:
         return tuple(out)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        payload = {
             "tool": self.tool,
             "inputs": [[role, ref] for role, ref in self.inputs],
             "invocation": self.invocation,
         }
+        # omitted when unknown, so such records serialize as before
+        if self.code:
+            payload["code"] = self.code
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "DerivationRecord":
         return cls(payload.get("tool"),
                    tuple((role, ref) for role, ref in
                          payload.get("inputs", ())),
-                   payload.get("invocation", ""))
+                   payload.get("invocation", ""),
+                   payload.get("code", ""))
 
 
 @dataclass(frozen=True)

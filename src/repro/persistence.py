@@ -47,7 +47,6 @@ HISTORY_FILE = "history.json"
 HISTORY_SQLITE_FILE = "history.sqlite"
 FLOWS_FILE = "flows.json"
 META_FILE = "environment.json"
-CACHE_FILE = "cache.json"
 TRACE_FILE = "trace.jsonl"
 LEDGER_FILE = "ledger.jsonl"
 MEMO_FILE = "memo.jsonl"
@@ -102,6 +101,10 @@ def save_environment(env: DesignEnvironment,
     root.mkdir(parents=True, exist_ok=True)
     backend = _check_backend(backend if backend is not None
                              else env.db.backend)
+    if env._cache is not None:
+        # index what the record listener queued, so the SQLite key
+        # index commits with the history it describes
+        env._cache.sync()
     (root / SCHEMA_FILE).write_text(
         json.dumps(schema_to_dict(env.schema), indent=1, sort_keys=True),
         encoding="utf-8")
@@ -129,10 +132,6 @@ def save_environment(env: DesignEnvironment,
         json.dumps({"format": FORMAT_VERSION, "user": env.user,
                     "history_backend": backend},
                    indent=1), encoding="utf-8")
-    if env._cache is not None:
-        (root / CACHE_FILE).write_text(
-            json.dumps(env._cache.to_dict(), indent=1, sort_keys=True),
-            encoding="utf-8")
     return root
 
 
@@ -175,13 +174,6 @@ def load_environment(directory: str | pathlib.Path, *,
             flow = DynamicFlow.from_dict(schema, spec["graph"])
             env.flow_catalog.register_flow(
                 name, flow, description=spec.get("description", ""))
-    cache_path = root / CACHE_FILE
-    if cache_path.exists():
-        # restore() only stages the snapshot; it is trusted (absorbed)
-        # at first use, once the encapsulation registry's signature can
-        # be compared — tool code registers after load returns.
-        env.cache.restore(
-            json.loads(cache_path.read_text(encoding="utf-8")))
     # The run ledger is on by default for saved environments: every
     # executed flow appends one record to ledger.jsonl.  A read-only
     # directory disables recording (reads via `repro ledger`/`repro
@@ -195,6 +187,12 @@ def load_environment(directory: str | pathlib.Path, *,
         # is attached lazily with the cache, so environments that never
         # touch the cache never create the file.
         env._shared_memo_path = root / MEMO_FILE
+    if env.db.store.key_index_signature():
+        # a built key index skips the history sweep on its next load,
+        # so it must see every run recorded meanwhile: the cache's
+        # record listener queues them whatever the run's policy, and
+        # save_environment indexes them
+        env.cache.attach()
     return env
 
 

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExecutionError
 from repro.execution import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                              DerivationCache, DesignEnvironment,
                              DurationModel, encapsulation,
                              fingerprint_callable, normalize_policy)
+from repro.history.store import BACKENDS
 from repro.obs import PARALLEL_EXECUTOR, SCHEDULED_EXECUTOR
-from repro.persistence import (CACHE_FILE, load_environment,
+from repro.persistence import (MEMO_FILE, load_environment,
                                save_environment)
 from repro.schema import standard as S
 from repro.tools import register_standard_encapsulations
@@ -52,6 +54,22 @@ def simulate_flow(env):
     return flow, goal
 
 
+def stocked_flow(env, stock):
+    """The simulate-performance flow over ``stock``'s installed ids."""
+    flow, _ = build_performance_flow(
+        env, netlist_id=stock.netlist.instance_id,
+        models_id=stock.models.instance_id,
+        stimuli_id=stock.stimuli.instance_id,
+        simulator_id=stock.tools[S.SIMULATOR].instance_id)
+    return flow
+
+
+def reload(directory):
+    env = load_environment(directory)
+    register_standard_encapsulations(env)
+    return env
+
+
 class TestPolicies:
     def test_normalize(self):
         assert normalize_policy(None) == CACHE_OFF
@@ -89,6 +107,20 @@ class TestReuse:
         assert warm.cache_hits == 2  # circuit composition + simulation
         assert sorted(warm.reused) == sorted(cold.created)
         assert goal2.produced  # goal node carries the reused instance
+
+    def test_fresh_run_is_keyed_once(self, counting_env, monkeypatch):
+        """The executor keys a cold run; storing it never re-keys it."""
+        keyed = []
+        original = DerivationCache.tool_run_key
+
+        def counting(cache, *args, **kwargs):
+            keyed.append(args[0])
+            return original(cache, *args, **kwargs)
+
+        monkeypatch.setattr(DerivationCache, "tool_run_key", counting)
+        flow, _ = simulate_flow(counting_env)
+        counting_env.run(flow, cache="readwrite")
+        assert len(keyed) == len(counting_env.calls) == 1
 
     def test_force_bypasses_cache_reads(self, counting_env):
         flow, _ = simulate_flow(counting_env)
@@ -245,15 +277,6 @@ class TestInvalidation:
                                       [S.PERFORMANCE])
         assert key_without != key_with
 
-    def test_explicit_invalidate_clears_index(self, counting_env):
-        flow, _ = simulate_flow(counting_env)
-        counting_env.run(flow, cache="readwrite")
-        counting_env.cache.invalidate()
-        calls = len(counting_env.calls)
-        report = counting_env.run(flow, force=True, cache="reuse")
-        assert report.cache_hits == 0
-        assert len(counting_env.calls) == calls + 1
-
 
 class TestFingerprints:
     def test_nested_code_objects_are_stable(self):
@@ -281,90 +304,128 @@ class TestFingerprints:
 
 
 class TestPersistence:
-    def test_cache_round_trips_through_save_load(self, tmp_path,
-                                                 stocked_env):
-        env = stocked_env
-        flow, _ = build_performance_flow(
-            env, netlist_id=env.netlist.instance_id,
-            models_id=env.models.instance_id,
-            stimuli_id=env.stimuli.instance_id,
-            simulator_id=env.tools[S.SIMULATOR].instance_id)
-        cold = env.run(flow, cache="readwrite")
-        save_environment(env, tmp_path)
-        assert (tmp_path / CACHE_FILE).exists()
+    """The history is the index's only source on either backend."""
 
-        reloaded = load_environment(tmp_path)
-        register_standard_encapsulations(reloaded)
-        flow2, _ = build_performance_flow(
-            reloaded, netlist_id=env.netlist.instance_id,
-            models_id=env.models.instance_id,
-            stimuli_id=env.stimuli.instance_id,
-            simulator_id=env.tools[S.SIMULATOR].instance_id)
-        warm = reloaded.run(flow2, cache="reuse")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cache_round_trips_through_save_load(self, tmp_path,
+                                                 stocked_env, backend):
+        env = stocked_env
+        cold = env.run(stocked_flow(env, env), cache="readwrite")
+        save_environment(env, tmp_path, backend=backend)
+        assert not (tmp_path / "cache.json").exists()
+
+        reloaded = reload(tmp_path)
+        warm = reloaded.run(stocked_flow(reloaded, env), cache="reuse")
         assert not warm.results
         assert sorted(warm.reused) == sorted(cold.created)
 
+    def test_records_without_code_still_reuse(self, tmp_path,
+                                              stocked_env):
+        """Histories saved before records carried code stay reusable."""
+        env = stocked_env
+        cold = env.run(stocked_flow(env, env), cache="readwrite")
+        save_environment(env, tmp_path)
+        history = tmp_path / "history.json"
+        payload = json.loads(history.read_text())
+        stripped = [spec["derivation"].pop("code")
+                    for spec in payload["instances"] if spec["derivation"]]
+        assert len(stripped) == len(cold.created)
+        history.write_text(json.dumps(payload))
+
+        reloaded = reload(tmp_path)
+        warm = reloaded.run(stocked_flow(reloaded, env), cache="reuse")
+        assert not warm.results
+        assert sorted(warm.reused) == sorted(cold.created)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_off_run_results_are_reused(self, tmp_path, stocked_env,
+                                        backend):
+        """Cacheless runs are indexed from the history they recorded."""
+        save_environment(stocked_env, tmp_path, backend=backend)
+        indexed = reload(tmp_path)
+        indexed.cache.sync()  # build the persisted index first
+        save_environment(indexed, tmp_path)
+
+        # after save -> reload
+        env = reload(tmp_path)
+        cold = env.run(stocked_flow(env, stocked_env), cache="off")
+        assert cold.runs == 2  # circuit composition + simulation
+        save_environment(env, tmp_path)
+        assert not (tmp_path / "cache.json").exists()
+        reloaded = reload(tmp_path)
+        warm = reloaded.run(stocked_flow(reloaded, stocked_env),
+                            cache="reuse")
+        assert not warm.results
+        assert sorted(warm.reused) == sorted(cold.created)
+
+        # in-process: the newest, cacheless run wins
+        forced = reloaded.run(stocked_flow(reloaded, stocked_env),
+                              cache="off", force=True)
+        again = reloaded.run(stocked_flow(reloaded, stocked_env),
+                             cache="reuse")
+        assert not again.results
+        assert sorted(again.reused) == sorted(forced.created)
+
     def test_reload_prefers_newest_group_after_force(self, tmp_path,
                                                      stocked_env):
-        # a forced re-run stores its group before the snapshot/sweep
-        # absorbs older history, so group list order is not recency
-        # order; fetch must rank by member timestamps
-        env = stocked_env
-        flow, _ = build_performance_flow(
-            env, netlist_id=env.netlist.instance_id,
-            models_id=env.models.instance_id,
-            stimuli_id=env.stimuli.instance_id,
-            simulator_id=env.tools[S.SIMULATOR].instance_id)
-        env.run(flow, cache="readwrite")
-        save_environment(env, tmp_path)
+        # memo lines and the history sweep feed a key's groups in
+        # either order, so list order is not recency order; fetch
+        # must rank by member timestamps
+        save_environment(stocked_env, tmp_path)
+        first = reload(tmp_path)
+        first.run(stocked_flow(first, stocked_env), cache="readwrite")
+        save_environment(first, tmp_path)
 
-        mid = load_environment(tmp_path)
-        register_standard_encapsulations(mid)
-        flow2, _ = build_performance_flow(
-            mid, netlist_id=env.netlist.instance_id,
-            models_id=env.models.instance_id,
-            stimuli_id=env.stimuli.instance_id,
-            simulator_id=env.tools[S.SIMULATOR].instance_id)
-        forced = mid.run(flow2, cache="readwrite", force=True)
+        mid = reload(tmp_path)
+        forced = mid.run(stocked_flow(mid, stocked_env),
+                         cache="readwrite", force=True)
         save_environment(mid, tmp_path)
 
-        # simulate a snapshot written with inverted group order (as the
-        # pre-fix store() produced): recency ranking must still win
-        cache_file = tmp_path / CACHE_FILE
-        payload = json.loads(cache_file.read_text())
-        for entry in payload["entries"].values():
-            entry["groups"].reverse()
-        cache_file.write_text(json.dumps(payload))
+        # newest memo line first: a key's groups now arrive newest
+        # first, the opposite of recording order
+        memo = tmp_path / MEMO_FILE
+        lines = memo.read_text().splitlines()
+        assert len(lines) == 4  # composition + simulation, twice
+        memo.write_text("\n".join(reversed(lines)) + "\n")
 
-        reloaded = load_environment(tmp_path)
-        register_standard_encapsulations(reloaded)
-        flow3, _ = build_performance_flow(
-            reloaded, netlist_id=env.netlist.instance_id,
-            models_id=env.models.instance_id,
-            stimuli_id=env.stimuli.instance_id,
-            simulator_id=env.tools[S.SIMULATOR].instance_id)
-        warm = reloaded.run(flow3, cache="reuse")
+        reloaded = reload(tmp_path)
+        warm = reloaded.run(stocked_flow(reloaded, stocked_env),
+                            cache="reuse")
         assert not warm.results
         assert sorted(warm.reused) == sorted(forced.created)
 
-    def test_snapshot_dropped_on_signature_mismatch(self, tmp_path,
-                                                    stocked_env):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_changed_encapsulation_reexecutes_after_reload(
+            self, tmp_path, stocked_env, backend):
         env = stocked_env
-        flow, _ = build_performance_flow(
-            env, netlist_id=env.netlist.instance_id,
-            models_id=env.models.instance_id,
-            stimuli_id=env.stimuli.instance_id,
-            simulator_id=env.tools[S.SIMULATOR].instance_id)
-        env.run(flow, cache="readwrite")
-        save_environment(env, tmp_path)
-        payload = json.loads((tmp_path / CACHE_FILE).read_text())
-        payload["signature"] = "stale" * 12
-        cache = DerivationCache(env.db, env.registry)
-        cache.restore(payload)
-        cache.sync()
-        # snapshot untrusted -> durations forgotten, but the lazy sweep
-        # still rebuilds keys from the history itself
-        assert cache._pending is None
+        env.run(stocked_flow(env, env), cache="readwrite")
+        save_environment(env, tmp_path, backend=backend)
+
+        reloaded = reload(tmp_path)
+        reloaded.registry.register(S.SIMULATOR, encapsulation(
+            "s2", lambda ctx, inputs: {"made-by": "v2"}))
+        report = reloaded.run(stocked_flow(reloaded, env), cache="reuse")
+        # the simulator's old key embeds the old code and stops
+        # matching; the circuit composition still coalesces
+        assert report.runs == 1
+        assert report.cache_hits == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_reports_cache_from_history(self, tmp_path, capsys,
+                                              stocked_env, backend):
+        stocked_env.save_flow("simulate", stocked_flow(stocked_env,
+                                                       stocked_env))
+        save_environment(stocked_env, tmp_path, backend=backend)
+        assert main(["run", str(tmp_path), "simulate",
+                     "--cache", "readwrite"]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(tmp_path)]) == 0
+        assert "derivation cache: 2 keys, 2 remembered results" in \
+            capsys.readouterr().out
+        assert main(["stats", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cache"] == {"keys": 2, "results": 2}
+        assert not (tmp_path / "cache.json").exists()
 
     def test_invocation_counter_survives_reload(self, tmp_path,
                                                 stocked_env):

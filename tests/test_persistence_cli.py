@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.errors import HistoryError
 from repro.persistence import load_environment, save_environment
 from repro.schema import standard as S
@@ -140,6 +140,16 @@ class TestCli:
         self.run("init", directory)
         assert self.run("history", directory, "Ghost#9999") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "proj", "flow"],
+                                         ["corpus", "run", "corpus"]])
+    def test_one_pool_size_option(self, command):
+        """``--machines`` is a second spelling of ``--workers``."""
+        parser = build_parser()
+        for flag in ("--workers", "--machines"):
+            args = parser.parse_args([*command, flag, "3"])
+            assert args.workers == 3
+            assert not hasattr(args, "machines")
 
     def test_stats_command(self, tmp_path, capsys):
         directory = str(tmp_path / "proj")
