@@ -13,8 +13,8 @@ profiled best exceeds the unprofiled best by more than
 ~4x on allocation-heavy tools (the reason ``--profile-memory`` is a
 separate opt-in flag) and would never fit this budget.
 
-The measured overhead is appended to ``benchmarks/artifacts/`` raw
-output; the checked-in trajectory lives in ``BENCH_profile.json`` at
+The measured overhead is written to ``benchmarks/out/`` (gitignored)
+as raw output; the checked-in trajectory lives in ``BENCH_profile.json`` at
 the repo root (one entry per PR that touched the profiling hot path).
 """
 
@@ -32,7 +32,7 @@ from check_chaos_smoke import build_project  # noqa: E402
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BENCH = REPO / "BENCH_profile.json"
-ARTIFACTS = REPO / "benchmarks" / "artifacts"
+ARTIFACTS = REPO / "benchmarks" / "out"
 
 #: Hard ceiling on (profiled / unprofiled - 1) for the best-of-N runs.
 OVERHEAD_BUDGET = 0.07

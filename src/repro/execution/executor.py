@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph, TaskInvocation
-from ..errors import ExecutionError, ToolQuarantinedError
+from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
 from ..history.instance import DerivationRecord
 from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
@@ -43,14 +43,14 @@ from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
                    FLOW_FINISHED, FLOW_STARTED, NO_OP_BUS, NO_OP_TRACER,
                    NODE_READY, RUN_SPAN, SEQUENTIAL_EXECUTOR, TASK_SPAN,
                    TOOL_FINISHED, TOOL_INVOKED, TOOL_QUARANTINED,
-                   TOOL_RETRIED, TOOL_SPAN, TOOL_TIMED_OUT, EventBus,
-                   RunLedger, Tracer)
+                   TOOL_RETRIED, TOOL_SPAN, TOOL_TIMED_OUT, WORKER_STATS,
+                   EventBus, RunLedger, Tracer)
 from .cache import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                     DerivationCache, normalize_policy)
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             ToolEncapsulation, fingerprint_callable)
 from .faults import FaultPlan
-from .resilience import (QUARANTINED, UPSTREAM, CallStats,
+from .resilience import (UPSTREAM, CallStats,
                          InvocationFailure, ResiliencePolicy,
                          annotate_error, failure_entry)
 
@@ -587,6 +587,21 @@ class _ExecutionKernel:
                       **run.summary}
             run_span.set(**totals)
         if emitting:
+            # the pool's per-worker counters, as the ledger records them
+            for name, stats in sorted((run.workers or {}).items()):
+                self.bus.emit(
+                    WORKER_STATS, flow=graph.name, machine=name,
+                    duration=stats.busy_time,
+                    payload={"batches": stats.batches,
+                             "invocations": stats.invocations,
+                             "steals": stats.steals,
+                             "respawns": stats.respawns,
+                             "cache_hits": stats.cache_hits,
+                             "busy": stats.busy_time,
+                             "idle": stats.idle_time,
+                             "rss_kb": stats.rss_kb,
+                             "utilization": round(
+                                 stats.busy_time / report.wall_time, 4)})
             payload = {**totals, "serial_time": report.serial_time,
                        "speedup": round(report.speedup, 3)}
             if report.failures:
@@ -781,16 +796,6 @@ class _ExecutionKernel:
                           machine=machine,
                           payload={"error": str(error), "degraded": True})
 
-    def _quarantined_error(self, tool_type: str) -> BaseException:
-        """The fail-fast error for a tool type whose breaker is open."""
-        breaker = self.resilience.breaker
-        return annotate_error(
-            ToolQuarantinedError(
-                f"tool type {tool_type!r} is quarantined after "
-                f"{breaker.failures(tool_type)} consecutive failures"),
-            tool_type=tool_type, classification=QUARANTINED,
-            attempts=0, retries=0, timeouts=0)
-
     # ------------------------------------------------------------------
     # one invocation: prepare -> call -> record
     # ------------------------------------------------------------------
@@ -845,9 +850,8 @@ class _ExecutionKernel:
             self.bus.emit(TOOL_INVOKED, flow=graph.name, node=task.node,
                           tool_type=task.tool_type, machine=machine,
                           payload={"roles": sorted(role_ids)})
-        policy = self.resilience
-        if policy is not None and policy.breaker.is_open(task.tool_type):
-            raise self._quarantined_error(task.tool_type)
+        if self.resilience is not None:
+            self.resilience.check(task.tool_type)
         if invocation.tool_node is None:
             # composed invocations have exactly one output
             entity_type = output_nodes[0].entity_type
@@ -993,7 +997,8 @@ class _ExecutionKernel:
 
     def _policy_hooks(self, run: _Run,
                       task: _Task) -> dict[str, Callable[..., None]]:
-        """Event hooks for :meth:`ResiliencePolicy.run`."""
+        """Event hooks for :meth:`ResiliencePolicy.settle`, whichever
+        boundary settles the task's failed attempts."""
         if not self.bus.enabled:
             return {}
         emit = functools.partial(self.bus.emit, flow=run.graph.name,

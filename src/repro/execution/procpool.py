@@ -17,15 +17,18 @@ dispatches the scheduler's ready set to a pool of real
   round-trip (up to ``DEFAULT_BATCH_MAX``), and every lane **steals**
   from the one global ready set, so an idle worker drains whatever is
   runnable;
-* the resilience layer survives the thread→process move: a watchdog
-  timeout *kills and respawns the worker process* (something the
-  thread watchdog could never do), retries re-enqueue the envelope
-  with a freshly drawn fault, and quarantine/breaker state stays with
-  the coordinator.
+* the coordinator settles every failed attempt through the same
+  :class:`~repro.execution.resilience.ResiliencePolicy` steps the
+  in-process call takes (``check``, ``timeout_for``, ``settle``) and
+  the kernel's event hooks, so retries, timeouts and quarantine count
+  and report alike on every tier.  What this module adds is the
+  process boundary: a watchdog timeout *kills and respawns the worker
+  process* (something the thread watchdog could never do), and a
+  retry re-enqueues the envelope with a freshly drawn fault.
 
-Workers never touch the history database; recording, cache population
-and span emission happen coordinator-side, with worker-reported tool
-durations attached to the spans.  ``fork`` is required: the registry
+Workers never touch the history database; recording, cache population,
+span and event emission happen coordinator-side, with worker-reported
+tool durations attached to the spans.  ``fork`` is required: the registry
 holds arbitrary closures that cannot be pickled to a spawned child,
 but a forked child inherits them for free.
 """
@@ -47,21 +50,20 @@ from typing import Any, Sequence
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph
 from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
-                      TransientToolError)
+                      ToolQuarantinedError, TransientToolError)
 from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, PHASE_DECODE, PHASE_ENCODE, PHASE_SPAN,
-                   PHASE_TOOL, PHASE_VERIFY, PROCESS_EXECUTOR,
-                   TOOL_QUARANTINED, TOOL_RETRIED, TOOL_TIMED_OUT,
-                   WAVE_SPAN, WORKER_STATS, ClockSync, SamplingProfiler,
-                   Span, WorkerRunStats, WorkerTelemetry, fit_phases,
-                   merge_profiles, worker_utilization)
+                   PHASE_TOOL, PHASE_VERIFY, PROCESS_EXECUTOR, WAVE_SPAN,
+                   ClockSync, SamplingProfiler, Span, WorkerRunStats,
+                   WorkerTelemetry, fit_phases, merge_profiles,
+                   worker_utilization)
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
 from .executor import (ExecutionReport, InvocationResult, _Call, _Claim,
                        _ExecutionKernel, _invocation_graph, _ReadySet,
                        _Run, _Task, _derivation_inputs)
 from .faults import FaultSpec, run_with_fault
-from .resilience import TRANSIENT, annotate_error
+from .resilience import annotate_error
 
 DEFAULT_BATCH_MAX = 4
 
@@ -437,7 +439,9 @@ class _WorkerHandle:
 
     def call(self, batch: list[InvocationEnvelope],
              timeout: float | None) -> list[EnvelopeOutcome]:
-        """One round trip; on trouble the worker is replaced first.
+        """One round trip under ``timeout`` (the policy's
+        ``timeout_for`` budget, or None); on trouble the worker is
+        replaced first.
 
         * broken pipe on send -> the worker died between rounds:
           respawn, raise transient;
@@ -455,7 +459,7 @@ class _WorkerHandle:
             raise TransientToolError(
                 f"worker {self.name} was gone before dispatch; "
                 "respawned")
-        if timeout is not None and timeout > 0:
+        if timeout is not None:
             if not self.conn.poll(timeout):
                 self.respawn()
                 raise InvocationTimeoutError(
@@ -608,7 +612,6 @@ class ProcessFlowExecutor(_ExecutionKernel):
         run.summary.update(
             restarts=sum(h.restarts for h in handles),
             utilization=round(worker_utilization(run.workers, wall), 4))
-        self._emit_worker_stats(run.graph, run.workers, wall)
 
     def _lane(self, run: _Run, handle: _WorkerHandle,
               state: _ReadySet) -> None:
@@ -646,28 +649,6 @@ class ProcessFlowExecutor(_ExecutionKernel):
                 rss_kb=int(snap.get("rss_kb", 0)))
         return stats
 
-    def _emit_worker_stats(self, graph: TaskGraph,
-                           workers: dict[str, WorkerRunStats],
-                           wall: float) -> None:
-        if not self.bus.enabled:
-            return
-        for name in sorted(workers):
-            stats = workers[name]
-            self.bus.emit(
-                WORKER_STATS, flow=graph.name, machine=name,
-                duration=stats.busy_time,
-                payload={"batches": stats.batches,
-                         "invocations": stats.invocations,
-                         "steals": stats.steals,
-                         "respawns": stats.respawns,
-                         "cache_hits": stats.cache_hits,
-                         "busy": stats.busy_time,
-                         "idle": stats.idle_time,
-                         "rss_kb": stats.rss_kb,
-                         "utilization": round(
-                             stats.busy_time / wall, 4)
-                         if wall > 0 else 0.0})
-
     # ------------------------------------------------------------------
     # lane: claim, batch, prepare, dispatch, record
     # ------------------------------------------------------------------
@@ -688,8 +669,8 @@ class ProcessFlowExecutor(_ExecutionKernel):
                 and tool_type != handle.last_tool_type:
             handle.lane_steals += 1
         handle.last_tool_type = tool_type
-        if self.resilience is not None and self.resilience.rule_for(
-                tool_type or COMPOSE_TOOL).timeout is not None:
+        if self.resilience is not None and self.resilience.timeout_for(
+                tool_type or COMPOSE_TOOL) is not None:
             return 1
         return min(DEFAULT_BATCH_MAX, max(1, -(-ready // self.workers)))
 
@@ -747,20 +728,22 @@ class ProcessFlowExecutor(_ExecutionKernel):
             profile_memory=self._profile_memory)
 
     # ------------------------------------------------------------------
-    # dispatch: worker round trips with retry / watchdog / breaker
+    # dispatch: worker round trips, settled through the policy
     # ------------------------------------------------------------------
     def _dispatch(self, run: _Run, handle: _WorkerHandle,
                   units: list[_Unit]) -> None:
         """Run every unit to a final outcome (success or final error).
 
-        Reimplements :meth:`ResiliencePolicy.run`'s loop for the
-        process boundary: the watchdog is the coordinator polling the
-        pipe (and killing the worker on expiry) instead of a daemon
-        thread, and a retried unit's envelope is re-enqueued with a
-        freshly drawn fault so the plan's per-attempt counting holds.
+        Only the process-boundary work lives here: grouping units into
+        round trips, the pipe round trip, and a fresh fault draw for a
+        retried envelope.  The policy decides the rest through the
+        steps :meth:`ResiliencePolicy.run` takes in-process: ``check``
+        refuses a quarantined tool type before dispatch,
+        ``timeout_for`` is the round trip's watchdog budget (enforced
+        by :meth:`_WorkerHandle.call`, which kills and respawns a hung
+        worker) and :meth:`_settle` hands each failed attempt to
+        ``settle``.
         """
-        policy = self.resilience
-        emitting = self.bus.enabled
         pending = list(units)
         while pending:
             current, pending = pending, []
@@ -768,51 +751,29 @@ class ProcessFlowExecutor(_ExecutionKernel):
             # unbounded units of one batch share a single trip.
             groups: list[list[_Unit]] = []
             for unit in current:
-                timeout = self._timeout_for(unit)
-                if timeout is not None or not groups \
-                        or self._timeout_for(groups[-1][0]) is not None:
-                    groups.append([unit])
-                else:
+                if groups and self._timeout_for(unit) is None \
+                        and self._timeout_for(groups[-1][0]) is None:
                     groups[-1].append(unit)
+                else:
+                    groups.append([unit])
             for group in groups:
-                # Dispatch-time breaker check: a batch-mate (or an
-                # earlier group) may have opened the quarantine after
-                # this unit was prepared.  The fail-fast mirrors
-                # :meth:`ResiliencePolicy.run`'s pre-check — attempts
-                # stay 0 and the breaker does NOT count it as another
-                # failure.
-                if policy is not None and policy.breaker.is_open(
-                        group[0].task.tool_type):
-                    for unit in group:
-                        unit.call.error = self._quarantined_error(
-                            unit.task.tool_type)
+                # A batch-mate (or an earlier group) may have opened
+                # the quarantine after this unit was prepared.
+                group = [unit for unit in group if not self._refused(unit)]
+                if not group:
                     continue
-                timeout = self._timeout_for(group[0])
                 for unit in group:
                     unit.call.stats.attempts += 1
                 sent_at = self.tracer.clock()
                 try:
                     outcomes = handle.call(
-                        [unit.envelope for unit in group], timeout)
+                        [unit.envelope for unit in group],
+                        self._timeout_for(group[0]))
                 except BaseException as error:
                     # transport-level failure: the whole round is one
                     # failed attempt for every unit aboard
-                    is_timeout = isinstance(error,
-                                            InvocationTimeoutError)
                     for unit in group:
-                        if is_timeout:
-                            unit.call.stats.timeouts += 1
-                            if emitting:
-                                self.bus.emit(
-                                    TOOL_TIMED_OUT, flow=run.graph.name,
-                                    node=unit.task.node,
-                                    tool_type=unit.task.tool_type,
-                                    machine=handle.name,
-                                    payload={
-                                        "attempt": unit.call.stats.attempts,
-                                        "budget": timeout or 0.0})
-                        self._settle(run, handle, unit, error,
-                                     pending)
+                        self._settle(run, unit, error, pending)
                     continue
                 received_at = self.tracer.clock()
                 for unit in group:
@@ -832,85 +793,58 @@ class ProcessFlowExecutor(_ExecutionKernel):
                     outcome = by_id.get(unit.envelope.envelope_id)
                     if outcome is None:
                         self._settle(
-                            run, handle, unit,
+                            run, unit,
                             TransientToolError(
                                 f"worker {handle.name} returned no "
                                 "outcome for envelope "
                                 f"{unit.envelope.envelope_id}"),
                             pending)
-                        continue
-                    if outcome.ok:
+                    elif outcome.ok:
                         unit.outcome = outcome
                         unit.call.value = outcome.value
                         unit.call.elapsed = outcome.duration
-                        if policy is not None:
-                            policy.breaker.record_success(
+                        if self.resilience is not None:
+                            self.resilience.breaker.record_success(
                                 unit.task.tool_type)
-                        continue
-                    self._settle(run, handle, unit,
-                                 _decode_error(outcome), pending,
-                                 duration=outcome.duration)
+                    else:
+                        self._settle(run, unit, _decode_error(outcome),
+                                     pending)
 
     def _timeout_for(self, unit: _Unit) -> float | None:
-        if self.resilience is None:
-            return None
-        timeout = self.resilience.rule_for(unit.task.tool_type).timeout
-        if timeout is None or timeout <= 0:
-            return None
-        return timeout
+        return (self.resilience.timeout_for(unit.task.tool_type)
+                if self.resilience is not None else None)
 
-    def _settle(self, run: _Run, handle: _WorkerHandle,
-                unit: _Unit, error: BaseException,
-                pending: list[_Unit], duration: float = 0.0) -> None:
-        """Decide one failed attempt: re-enqueue or finalize."""
+    def _refused(self, unit: _Unit) -> bool:
+        """Fail ``unit`` fast when its tool type is quarantined."""
+        try:
+            if self.resilience is not None:
+                self.resilience.check(unit.task.tool_type)
+        except ToolQuarantinedError as error:
+            unit.call.error = error
+            return True
+        return False
+
+    def _settle(self, run: _Run, unit: _Unit, error: BaseException,
+                pending: list[_Unit]) -> None:
+        """Settle one failed attempt: re-enqueue the unit for a retry,
+        or leave its final error on the call."""
         policy = self.resilience
-        emitting = self.bus.enabled
         if policy is None:
             unit.call.error = annotate_error(error,
-                                        tool_type=unit.task.tool_type)
+                                             tool_type=unit.task.tool_type)
             return
-        if policy.breaker.is_open(unit.task.tool_type):
-            # A round-trip-mate already opened the quarantine: had the
-            # units run one at a time (as the in-process executors do)
-            # this one would have been refused at the pre-check, so its
-            # failure surfaces as quarantined and is not counted by the
-            # breaker again.
-            unit.call.error = self._quarantined_error(unit.task.tool_type)
+        try:
+            # A round-trip-mate may have opened the quarantine: had the
+            # units run one at a time, as in-process, this one would
+            # have been refused before its attempt, so its failure is
+            # not counted again.
+            policy.check(unit.task.tool_type)
+            delay = policy.settle(unit.task.tool_type, error,
+                                  unit.call.stats,
+                                  **self._policy_hooks(run, unit.task))
+        except BaseException as final:
+            unit.call.error = final
             return
-        classification = policy.classify(error)
-        rule = policy.rule_for(unit.task.tool_type)
-        exhausted = unit.call.stats.attempts > rule.retries
-        if classification != TRANSIENT or exhausted:
-            opened = policy.breaker.record_failure(unit.task.tool_type)
-            if opened and emitting:
-                self.bus.emit(
-                    TOOL_QUARANTINED, flow=run.graph.name,
-                    node=unit.task.node,
-                    tool_type=unit.task.tool_type,
-                    machine=handle.name,
-                    payload={"consecutive_failures":
-                             policy.breaker.failures(
-                                 unit.task.tool_type)})
-            unit.call.error = annotate_error(
-                error, tool_type=unit.task.tool_type,
-                classification=classification,
-                attempts=unit.call.stats.attempts,
-                retries=unit.call.stats.retries,
-                timeouts=unit.call.stats.timeouts)
-            return
-        delay = policy.backoff_delay(unit.task.tool_type,
-                                     unit.call.stats.attempts)
-        unit.call.stats.retries += 1
-        unit.call.stats.delays += (delay,)
-        if emitting:
-            self.bus.emit(
-                TOOL_RETRIED, flow=run.graph.name, node=unit.task.node,
-                tool_type=unit.task.tool_type, machine=handle.name,
-                payload={"attempt": unit.call.stats.attempts,
-                         "error": str(error),
-                         "error_class": type(error).__name__,
-                         "classification": classification,
-                         "delay": round(delay, 6)})
         policy.sleep(delay)
         # Per-attempt fault counting: the retried call is a fresh draw
         # from the plan, exactly as the in-process boundary counts it.

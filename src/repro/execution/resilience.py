@@ -28,7 +28,12 @@ every encapsulation invocation:
 
 The policy object is shared: a coordinator (parallel/scheduled
 executor) hands the same instance to every worker lane, so breaker
-state is global to the run, guarded by one lock.
+state is global to the run, guarded by one lock.  The guarded call is
+three steps — :meth:`ResiliencePolicy.check`,
+:meth:`~ResiliencePolicy.timeout_for` and
+:meth:`~ResiliencePolicy.settle` — that :meth:`ResiliencePolicy.run`
+loops over in-process and the process pool drives across a worker
+round trip.
 """
 
 from __future__ import annotations
@@ -290,6 +295,12 @@ class ResiliencePolicy:
     def rule_for(self, tool_type: str) -> RetryRule:
         return self._rules.get(tool_type, self._default)
 
+    def timeout_for(self, tool_type: str) -> float | None:
+        """The watchdog budget of one call; None (no watchdog) when the
+        budget is unset or not positive."""
+        timeout = self.rule_for(tool_type).timeout
+        return timeout if timeout is not None and timeout > 0 else None
+
     def quarantined(self) -> tuple[str, ...]:
         return self.breaker.open_types()
 
@@ -318,20 +329,12 @@ class ResiliencePolicy:
         fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return base * (1.0 + rule.jitter * fraction)
 
-    # -- the guarded call -------------------------------------------------
-    def run(self, tool_type: str, call: Callable[[], Any], *,
-            on_retry: Callable[[int, BaseException, float, str], None]
-            | None = None,
-            on_timeout: Callable[[int, float], None] | None = None,
-            on_quarantine: Callable[[int], None] | None = None
-            ) -> tuple[Any, CallStats]:
-        """Execute ``call`` under this policy.
-
-        Returns ``(result, CallStats)`` on success.  On final failure
-        the original exception is re-raised, annotated with the tool
-        type, attempt count and classification (see
-        :func:`annotate_error`), after the breaker counted the failure.
-        """
+    # -- the guarded call: check, attempt, settle ------------------------
+    def check(self, tool_type: str) -> None:
+        """Fail fast with an annotated
+        :class:`~repro.errors.ToolQuarantinedError` when the breaker has
+        quarantined ``tool_type``; the refused call is not counted as
+        another failure."""
         if self.breaker.is_open(tool_type):
             raise annotate_error(
                 ToolQuarantinedError(
@@ -340,35 +343,61 @@ class ResiliencePolicy:
                     "failures"),
                 tool_type=tool_type, classification=QUARANTINED,
                 attempts=0, retries=0, timeouts=0)
-        rule = self.rule_for(tool_type)
+
+    def settle(self, tool_type: str, error: BaseException,
+               stats: CallStats, *,
+               on_retry: Callable[[int, BaseException, float, str], None]
+               | None = None,
+               on_timeout: Callable[[int, float], None] | None = None,
+               on_quarantine: Callable[[int], None] | None = None
+               ) -> float:
+        """Decide one failed attempt (``stats.attempts`` counts it).
+
+        A final failure — permanent, or transient past the retry
+        budget — is counted by the breaker and re-raised, annotated with
+        the tool type, attempt counts and classification (see
+        :func:`annotate_error`).  Otherwise the retry is counted and the
+        backoff delay to sleep before the next attempt is returned.
+        """
+        if isinstance(error, InvocationTimeoutError):
+            stats.timeouts += 1
+            if on_timeout is not None:
+                on_timeout(stats.attempts,
+                           self.timeout_for(tool_type) or 0.0)
+        classification = self.classify(error)
+        if classification != TRANSIENT \
+                or stats.attempts > self.rule_for(tool_type).retries:
+            if self.breaker.record_failure(tool_type) \
+                    and on_quarantine is not None:
+                on_quarantine(self.breaker.failures(tool_type))
+            raise annotate_error(
+                error, tool_type=tool_type, classification=classification,
+                attempts=stats.attempts, retries=stats.retries,
+                timeouts=stats.timeouts)
+        delay = self.backoff_delay(tool_type, stats.attempts)
+        stats.retries += 1
+        stats.delays += (delay,)
+        if on_retry is not None:
+            on_retry(stats.attempts, error, delay, classification)
+        return delay
+
+    def run(self, tool_type: str, call: Callable[[], Any],
+            **hooks: Callable[..., None]) -> tuple[Any, CallStats]:
+        """Execute ``call`` under this policy.
+
+        Returns ``(result, CallStats)`` on success; a final failure
+        propagates from :meth:`settle`.  ``hooks`` are settle's event
+        hooks.
+        """
+        self.check(tool_type)
+        timeout = self.timeout_for(tool_type)
         stats = CallStats(attempts=0)
         while True:
             stats.attempts += 1
             try:
-                result = call_with_timeout(call, rule.timeout)
+                result = call_with_timeout(call, timeout)
             except BaseException as error:
-                if isinstance(error, InvocationTimeoutError):
-                    stats.timeouts += 1
-                    if on_timeout is not None:
-                        on_timeout(stats.attempts, rule.timeout or 0.0)
-                classification = self.classify(error)
-                exhausted = stats.attempts > rule.retries
-                if classification != TRANSIENT or exhausted:
-                    opened = self.breaker.record_failure(tool_type)
-                    if opened and on_quarantine is not None:
-                        on_quarantine(self.breaker.failures(tool_type))
-                    raise annotate_error(
-                        error, tool_type=tool_type,
-                        classification=classification,
-                        attempts=stats.attempts, retries=stats.retries,
-                        timeouts=stats.timeouts)
-                delay = self.backoff_delay(tool_type, stats.attempts)
-                stats.retries += 1
-                stats.delays += (delay,)
-                if on_retry is not None:
-                    on_retry(stats.attempts, error, delay,
-                             classification)
-                self.sleep(delay)
+                self.sleep(self.settle(tool_type, error, stats, **hooks))
                 continue
             self.breaker.record_success(tool_type)
             return result, stats

@@ -232,6 +232,67 @@ def test_one_flow_started_and_finished_per_run(executor):
     assert kinds["flow_finished"] == 1
 
 
+#: Events one failed attempt or invocation leaves behind.
+RESILIENCE_EVENTS = ("tool_retried", "tool_timed_out", "tool_quarantined",
+                     "execution_failed")
+#: The watchdog budget of the hung tool type; the hang outlasts it.
+CHAOS_TIMEOUT = 0.3
+CHAOS_HANG = 2.0
+
+
+def _chaos(shape: str, executor: str):
+    """One degraded run of ``shape`` under a scripted fault plan.
+
+    The first tool type crashes transiently twice, then recovers; the
+    last hangs past its watchdog and crashes permanently on the retry,
+    which opens its quarantine.  The plan sleeps for real: its
+    injected ``sleep`` applies only in-process, while a worker process
+    always really sleeps.
+    """
+    from collections import Counter
+
+    from repro.execution.faults import FaultSpec
+    from repro.obs import RingBufferSink
+
+    spec = ScenarioSpec(f"q-{shape}", shape, 11, 2, 2, 2)
+    tool_types = [node.tool_type for node in scenario_nodes(spec)
+                  if node.tool_type is not None]
+    first, last = tool_types[0], tool_types[-1]
+    plan = FaultPlan([FaultSpec(first, 1), FaultSpec(first, 2),
+                      FaultSpec(last, 1, kind="hang", delay=CHAOS_HANG),
+                      FaultSpec(last, 2, transient=False)])
+    policy = ResiliencePolicy(retries=2, degrade=True, quarantine_after=1,
+                              sleep=no_sleep)
+    policy.override(last, timeout=CHAOS_TIMEOUT)
+    env = materialize_scenario(spec)
+    events = env.bus.subscribe(RingBufferSink(8192))
+    report = env.executor(executor, workers=2, resilience=policy,
+                          faults=plan).execute(
+        env.flow_catalog.select(MAIN_FLOW))
+    failures = sorted((f.outputs, f.tool_type, f.error, f.error_class,
+                       f.classification, f.attempts, f.retries,
+                       f.timeouts) for f in report.failures)
+    counts = Counter((e.event_type, e.node, e.tool_type)
+                     for e in events.events()
+                     if e.event_type in RESILIENCE_EVENTS)
+    return (report.retries, report.timeouts, failures,
+            report.quarantined), counts, last
+
+
+@pytest.mark.parametrize("shape", ("chain", "diamond", "fork_join",
+                                   "independent"))
+def test_chaos_telemetry_matches_across_executors(shape):
+    """Retries, timeouts, losses and quarantine agree on every executor,
+    and so do the resilience events naming them."""
+    outcome, counts, last = _chaos(shape, "sequential")
+    retries, timeouts, failures, quarantined = outcome
+    assert (retries, timeouts, quarantined) == (3, 1, [last])
+    assert any(f[4] == "permanent" and f[1] == last for f in failures)
+    assert {kind for kind, _, _ in counts} == set(RESILIENCE_EVENTS)
+    for executor in EXECUTORS[1:]:
+        assert _chaos(shape, executor)[:2] == (outcome, counts), executor
+
+
 def test_sequential_lane_replays_the_topological_walk():
     """The sequential executor's one lane claims invocations in the
     order a walk of the flow's topological order meets them, on a

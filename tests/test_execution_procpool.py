@@ -18,7 +18,7 @@ import pytest
 from repro.errors import ExecutionError, ToolError
 from repro.execution import (DesignEnvironment, FaultPlan, FaultSpec,
                              ResiliencePolicy, encapsulation)
-from repro.obs import PROCESS_EXECUTOR, SCHEDULED_EXECUTOR
+from repro.obs import PROCESS_EXECUTOR, SCHEDULED_EXECUTOR, RunLedger
 from repro.schema.builder import SchemaBuilder
 
 SLEEP = 0.03
@@ -207,6 +207,25 @@ class TestResilience:
         env = fan_env(tool_fn=opaque)
         with pytest.raises(ExecutionError):
             env.executor(PROCESS_EXECUTOR, workers=1).execute(fan_flow(env))
+
+
+class TestBatching:
+    @pytest.mark.parametrize("timeout, batches",
+                             [(None, 1), (0, 1), (-1.0, 1), (30.0, 4)])
+    def test_only_a_watchdog_budget_splits_batches(self, tmp_path,
+                                                   timeout, batches):
+        """A budget <= 0 means no watchdog, as it does in-process, so
+        one worker takes all four ready invocations in one round trip;
+        a real budget is per invocation and forces single trips."""
+        env = fan_env()
+        env.ledger = RunLedger(tmp_path / "ledger.jsonl")
+        policy = (None if timeout is None
+                  else ResiliencePolicy(timeout=timeout))
+        env.executor(PROCESS_EXECUTOR, workers=1,
+                     resilience=policy).execute(fan_flow(env))
+        workers = env.ledger.records()[-1].workers
+        assert workers["worker0"].invocations == 4
+        assert workers["worker0"].batches == batches
 
 
 class TestQueueWait:
